@@ -5,10 +5,10 @@
 // pipeline's StageTrace records plus reorder, Schur-eigensolver, and
 // staircase deflation-chain health, measures the dense kernels (naive vs
 // blocked gemm, unblocked vs blocked Hessenberg, unblocked vs blocked
-// SVD, unblocked vs multishift-AED Schur, staircase vs legacy SVD
-// deflation chain) in GFLOP/s, records per-stage peak live bytes from
-// the memory accountant plus the telemetry-on-vs-dark observer-overhead
-// row (schema v7), and writes everything as BENCH_pipeline.json.
+// SVD, unblocked vs multishift-AED Schur) in GFLOP/s, records per-stage
+// peak live bytes from the memory accountant plus the
+// telemetry-on-vs-dark observer-overhead row (schema v8), and writes
+// everything as BENCH_pipeline.json.
 //
 // The JSON schema is documented in docs/BENCHMARKS.md; the committed
 // BENCH_pipeline.json at the repository root is one trajectory point per
@@ -42,9 +42,6 @@
 #include "bench_support.hpp"
 #include "circuits/generators.hpp"
 #include "circuits/sweep.hpp"
-#include "core/impulse_deflation.hpp"
-#include "core/nondynamic.hpp"
-#include "core/phi_builder.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/hessenberg.hpp"
 #include "linalg/schur.hpp"
@@ -104,7 +101,7 @@ int main(int argc, char** argv) {
   api::json::Writer w;
   w.beginObject();
   w.key("schema").value("shhpass-bench-pipeline");
-  w.key("schemaVersion").value(std::size_t{7});
+  w.key("schemaVersion").value(std::size_t{8});
   w.key("timeUnit").value("seconds");
   w.key("gemmThreads").value(linalg::gemmThreads());
   w.key("reps").value(static_cast<std::size_t>(reps));
@@ -234,30 +231,6 @@ int main(int argc, char** argv) {
                               [&] { linalg::schurUnblocked(a); }));
     rows.push_back(timeKernel("schur", n, "multishift", schurFlops, reps,
                               [&] { linalg::realSchur(a); }));
-    if (n == 256) {
-      // Deflation chain (impulse deflation + nondynamic removal) with
-      // both implementations FORCED, on the Phi pencil of the order-256
-      // benchmark model. The staircase-vs-SVD-chain speedup floor
-      // (>= 1.5x at this order, enforced by validate_bench_json.py) rides
-      // on these two rows. Flops are nominal (the legacy chain's SVD
-      // count) so the gflops column stays a consistent inverse-seconds
-      // scale for both variants.
-      const ds::DescriptorSystem gChain =
-          circuits::makeBenchmarkModel(n, true);
-      const shh::ShhRealization phi = core::buildPhi(gChain);
-      const double chainFlops = 2.0 * bench::svdNominalFlops(phi.order());
-      const auto runChain = [&phi](core::DeflationPath path) {
-        core::ImpulseDeflationResult s1 =
-            core::deflateImpulseModes(phi, -1.0, path);
-        (void)core::removeNondynamicModes(s1.reduced, -1.0, path);
-      };
-      rows.push_back(
-          timeKernel("deflation-chain", n, "staircase", chainFlops, reps,
-                     [&] { runChain(core::DeflationPath::Staircase); }));
-      rows.push_back(
-          timeKernel("deflation-chain", n, "svd-chain", chainFlops, reps,
-                     [&] { runChain(core::DeflationPath::SvdChain); }));
-    }
   }
   w.key("kernels").beginArray();
   for (const KernelRow& r : rows) {
@@ -274,11 +247,9 @@ int main(int argc, char** argv) {
   w.endArray();
 
   // ------------------------------------------------ batch throughput (v5)
-  // Mixed-order batch through the two-level scheduler: level 2 shards the
-  // batch across work-stealing workers with per-shard gemm budgets, and
-  // level 1 runs each analysis's stages as a dependency-ordered graph.
-  // The baseline is the same batch through runBatch with one worker and
-  // the sequential stage pipeline. Both runs are best-of-reps; the
+  // Mixed-order batch through the shard scheduler: the batch is sharded
+  // across work-stealing workers with per-shard gemm budgets. The
+  // baseline is the same batch through runBatch with one worker. Both runs are best-of-reps; the
   // scheduled results must decisionEquals the sequential ones item by
   // item (decisionMismatches is committed and must be 0 — the
   // determinism contract measured, not assumed). validate_bench_json.py
@@ -311,7 +282,6 @@ int main(int argc, char** argv) {
 
     api::AnalyzerOptions schedOpts;
     schedOpts.threads = 0;  // hardware concurrency
-    schedOpts.stageGraph = true;
     const api::PassivityAnalyzer schedAnalyzer(schedOpts);
     std::vector<api::Result<api::AnalysisReport>> schedResults;
     double schedBest = 1e300;
@@ -358,7 +328,6 @@ int main(int argc, char** argv) {
     w.endObject();
     w.key("scheduled").beginObject();
     w.key("workers").value(batchWorkers);
-    w.key("stageGraph").value(true);
     w.key("batchShards").value(batchShards);
     w.key("batchSteals").value(batchSteals);
     w.key("seconds").value(schedBest);
@@ -375,7 +344,7 @@ int main(int argc, char** argv) {
   // stamped once with only the perturbed values re-stamped per point, and
   // the whole point batch fanned through the work-stealing shard
   // scheduler. The baseline is the identical sweep on a one-worker
-  // analyzer with the sequential stage pipeline. decisionMismatches
+  // analyzer. decisionMismatches
   // compares the two runs slot by slot and is committed (must be 0).
   {
     circuits::LadderOptions ladder;
@@ -407,7 +376,6 @@ int main(int argc, char** argv) {
 
     api::AnalyzerOptions schedOpts;
     schedOpts.threads = 0;  // hardware concurrency
-    schedOpts.stageGraph = true;
     const api::PassivityAnalyzer schedAnalyzer(schedOpts);
     circuits::SweepResult schedSweep;
     double schedBest = 1e300;
@@ -452,7 +420,6 @@ int main(int argc, char** argv) {
     w.key("pointsPerSecond").value(seqRate);
     w.endObject();
     w.key("scheduled").beginObject();
-    w.key("stageGraph").value(true);
     w.key("seconds").value(schedBest);
     w.key("pointsPerSecond").value(schedRate);
     w.endObject();

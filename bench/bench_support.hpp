@@ -80,13 +80,6 @@ inline double timeSeconds(const std::function<void()>& fn) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-/// Median-of-k timing (k small; these are macro benchmarks).
-inline double timeMedian(const std::function<void()>& fn, int reps = 3) {
-  double best = 1e300;
-  for (int i = 0; i < reps; ++i) best = std::min(best, timeSeconds(fn));
-  return best;
-}
-
 /// The three tests of Table 1 on one model. The proposed test runs through
 /// the public PassivityAnalyzer engine (the timed path of production use).
 inline double timeProposed(const ds::DescriptorSystem& g) {

@@ -72,9 +72,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  api::AnalyzerOptions options;
-  options.stageGraph = true;  // two-level: stage graph x shard stealing
-  api::PassivityAnalyzer analyzer(options);
+  const api::PassivityAnalyzer analyzer;
 
   circuits::SweepResult result = circuits::runSweep(net, spec, analyzer);
   const std::size_t mismatches =

@@ -26,9 +26,8 @@ int main(int argc, char** argv) {
   using namespace shhpass;
   const std::string tracePath = argc > 1 ? argv[1] : "trace.json";
 
-  // Mixed workload: passive RLC ladders of growing order plus one model
-  // that fails the test at m1-extraction — under the stage graph the
-  // failing item shows discarded speculative spans in the trace.
+  // Mixed workload: passive RLC ladders of growing order, alternating
+  // impulse-free (capacitor at the port) and impulsive.
   std::vector<api::AnalysisRequest> batch;
   for (std::size_t k = 0; k < 6; ++k) {
     circuits::LadderOptions opt;
@@ -45,7 +44,6 @@ int main(int argc, char** argv) {
   options.telemetry.metrics = true;     // counters/gauges/histograms +
                                         // memory accounting on
   options.threads = 2;
-  options.stageGraph = true;            // stage-level task graph
   const api::PassivityAnalyzer analyzer(options);
 
   std::vector<api::Result<api::AnalysisReport>> reports =
@@ -90,8 +88,7 @@ int main(int argc, char** argv) {
   std::printf("\nper-stage peak live bytes (largest item, %s):\n",
               reports.back()->id.c_str());
   for (const api::StageTrace& t : reports.back()->stages)
-    std::printf("  %-20s %9zu bytes%s\n", t.name.c_str(), t.peakBytes,
-                t.discarded ? "  (discarded speculative stage)" : "");
+    std::printf("  %-20s %9zu bytes\n", t.name.c_str(), t.peakBytes);
   std::printf("process peak live bytes: %zu\n", obs::memPeakBytes());
 
   // --- Observation-only contract --------------------------------------

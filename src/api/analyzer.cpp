@@ -1,33 +1,15 @@
 #include "api/analyzer.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 #include <utility>
 
 #include "api/json.hpp"
-#include "api/thread_pool.hpp"
 #include "linalg/blas.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace shhpass::api {
-namespace {
-
-/// Canonical (non-discarded) stage subsequence — the decision path.
-/// Speculative runGraph stages appended as discarded are execution
-/// records, not decisions, so decisionEquals compares through this view.
-std::vector<const StageTrace*> canonicalStages(
-    const std::vector<StageTrace>& stages) {
-  std::vector<const StageTrace*> out;
-  out.reserve(stages.size());
-  for (const StageTrace& t : stages)
-    if (!t.discarded) out.push_back(&t);
-  return out;
-}
-
-}  // namespace
 
 bool AnalysisReport::decisionEquals(const AnalysisReport& other) const {
   if (id != other.id || passive != other.passive ||
@@ -72,14 +54,11 @@ bool AnalysisReport::decisionEquals(const AnalysisReport& other) const {
       schur.structureRepairs != other.schur.structureRepairs)
     return false;
   if (warnings != other.warnings) return false;
-  const std::vector<const StageTrace*> mine = canonicalStages(stages);
-  const std::vector<const StageTrace*> theirs =
-      canonicalStages(other.stages);
-  if (mine.size() != theirs.size()) return false;
-  for (std::size_t k = 0; k < mine.size(); ++k) {
-    if (mine[k]->name != theirs[k]->name ||
-        mine[k]->status.code() != theirs[k]->status.code() ||
-        mine[k]->status.message() != theirs[k]->status.message())
+  if (stages.size() != other.stages.size()) return false;
+  for (std::size_t k = 0; k < stages.size(); ++k) {
+    if (stages[k].name != other.stages[k].name ||
+        stages[k].status.code() != other.stages[k].status.code() ||
+        stages[k].status.message() != other.stages[k].status.message())
       return false;
   }
   return true;
@@ -148,11 +127,6 @@ std::string AnalysisReport::toJson() const {
   w.key("batchShards").value(scheduler.batchShards);
   w.key("batchWorkers").value(scheduler.batchWorkers);
   w.key("batchSteals").value(scheduler.batchSteals);
-  w.key("stageGraph").value(scheduler.stageGraph);
-  w.key("stageGraphExecuted").value(scheduler.stageGraphExecuted);
-  w.key("stageGraphSkipped").value(scheduler.stageGraphSkipped);
-  w.key("stageGraphCriticalPathSeconds")
-      .value(scheduler.stageGraphCriticalPathSeconds);
   w.endObject();
   w.endObject();
   w.key("warnings").beginArray();
@@ -166,7 +140,6 @@ std::string AnalysisReport::toJson() const {
     if (!t.status.ok()) w.key("message").value(t.status.message());
     w.key("seconds").value(t.seconds);
     if (t.peakBytes > 0) w.key("peakBytes").value(t.peakBytes);
-    if (t.discarded) w.key("discarded").value(true);
     w.endObject();
   }
   w.endArray();
@@ -177,13 +150,6 @@ std::string AnalysisReport::toJson() const {
 
 PassivityAnalyzer::PassivityAnalyzer(AnalyzerOptions options)
     : options_(std::move(options)) {
-  // Process-wide override so CI (and users) can drive every analysis
-  // through the level-1 stage graph without touching call sites; by the
-  // runGraph contract the setting can never change decisions, only
-  // scheduling — exactly like SHHPASS_GEMM_THREADS one layer down.
-  const char* env = std::getenv("SHHPASS_STAGE_GRAPH");
-  if (env != nullptr && std::strcmp(env, "0") != 0)
-    options_.stageGraph = true;
   // Telemetry: environment forces first (SHHPASS_TRACE / SHHPASS_METRICS,
   // read once process-wide), then this analyzer's own switches on top.
   // Both only ever turn telemetry ON — pure observation either way.
@@ -199,14 +165,14 @@ void PassivityAnalyzer::setStageObserver(Pipeline::Observer observer) {
 Result<AnalysisReport> PassivityAnalyzer::analyze(
     const ds::DescriptorSystem& system) const {
   return analyzeImpl(system, options_.passivity, std::string(),
-                     /*notifyObserver=*/true, /*gemmBudget=*/0);
+                     /*notifyObserver=*/true);
 }
 
 Result<AnalysisReport> PassivityAnalyzer::analyze(
     const AnalysisRequest& request) const {
   return analyzeImpl(request.system,
                      request.options ? *request.options : options_.passivity,
-                     request.id, /*notifyObserver=*/true, /*gemmBudget=*/0);
+                     request.id, /*notifyObserver=*/true);
 }
 
 std::vector<Result<AnalysisReport>> PassivityAnalyzer::runBatch(
@@ -221,9 +187,9 @@ std::vector<Result<AnalysisReport>> PassivityAnalyzer::runBatch(
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   const std::size_t workers = std::min(threads, requests.size());
 
-  // Level 2: deterministic shard plan over the item orders (pure
-  // function of orders + options, never of `workers` — the plan fields
-  // in every report are identical for every worker count).
+  // Deterministic shard plan over the item orders (pure function of
+  // orders + options, never of `workers` — the plan fields in every
+  // report are identical for every worker count).
   std::vector<std::size_t> orders(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i)
     orders[i] = requests[i].system.order();
@@ -258,38 +224,29 @@ std::vector<Result<AnalysisReport>> PassivityAnalyzer::runBatch(
   // keep report and trace ordering deterministic under stealing.
   const std::size_t steals = runSharded(
       plan, workers,
-      [this, &requests, &results, &sched, &plan](
-          std::size_t item, std::size_t shardIndex, bool stolen) {
+      [this, &requests, &results, &sched](
+          std::size_t item, std::size_t /*shardIndex*/, bool stolen) {
         sched[item].stolen = stolen;
         results[item] = analyzeImpl(
             requests[item].system,
             requests[item].options ? *requests[item].options
                                    : options_.passivity,
-            requests[item].id, /*notifyObserver=*/false,
-            plan[shardIndex].gemmBudget);
+            requests[item].id, /*notifyObserver=*/false);
       },
       sopts.packFirstWorker);
 
-  // Stamp the scheduling record into each successful report, preserving
-  // the level-1 stage-graph fields analyzeImpl already recorded.
+  // Stamp the scheduling record into each successful report.
   for (std::size_t i = 0; i < requests.size(); ++i) {
     if (!results[i].ok()) continue;
-    AnalysisReport& report = results[i].value();
     sched[i].batchSteals = steals;
-    sched[i].stageGraph = report.scheduler.stageGraph;
-    sched[i].stageGraphExecuted = report.scheduler.stageGraphExecuted;
-    sched[i].stageGraphSkipped = report.scheduler.stageGraphSkipped;
-    sched[i].stageGraphCriticalPathSeconds =
-        report.scheduler.stageGraphCriticalPathSeconds;
-    report.scheduler = sched[i];
+    results[i].value().scheduler = sched[i];
   }
   return results;
 }
 
 Result<AnalysisReport> PassivityAnalyzer::analyzeImpl(
     const ds::DescriptorSystem& system, const core::PassivityOptions& opts,
-    const std::string& id, bool notifyObserver,
-    std::size_t gemmBudget) const {
+    const std::string& id, bool notifyObserver) const {
   const Pipeline& pipeline = standardPipeline();
   obs::counterAdd(obs::Counter::AnalysesStarted);
   obs::gaugeAdd(obs::Gauge::AnalysesInFlight, 1);
@@ -310,22 +267,7 @@ Result<AnalysisReport> PassivityAnalyzer::analyzeImpl(
     std::lock_guard<std::mutex> lock(observerMu_);
     observer = observer_;
   }
-  Status status;
-  if (options_.stageGraph) {
-    // Level 1: dependency-ordered stage execution. Bit-identical
-    // decisions to the sequential path by the runGraph contract.
-    ThreadPool graphPool(std::max<std::size_t>(1, options_.stageGraphThreads));
-    StageGraphReport graph;
-    status = pipeline.runGraph(state, &report.stages, graphPool, &graph,
-                               observer, gemmBudget);
-    report.scheduler.stageGraph = graph.used;
-    report.scheduler.stageGraphExecuted = graph.executedStages;
-    report.scheduler.stageGraphSkipped = graph.skippedStages;
-    report.scheduler.stageGraphCriticalPathSeconds =
-        graph.criticalPathSeconds;
-  } else {
-    status = pipeline.run(state, &report.stages, observer);
-  }
+  const Status status = pipeline.run(state, &report.stages, observer);
   if (!status.ok() && !isVerdictCode(status.code())) {
     obs::counterAdd(obs::Counter::AnalysesFailed);
     obs::gaugeAdd(obs::Gauge::AnalysesInFlight, -1);
@@ -351,10 +293,7 @@ Result<AnalysisReport> PassivityAnalyzer::analyzeImpl(
   report.staircase = state.result.staircase;
   if (report.reorder.rejectedSwaps > 0)
     report.warnings.push_back(Warning::ReorderSwapRejected);
-  // Discarded speculative stages are execution records, not part of the
-  // canonical decision path's cost; keep totalSeconds mode-comparable.
-  for (const StageTrace& t : report.stages)
-    if (!t.discarded) report.totalSeconds += t.seconds;
+  for (const StageTrace& t : report.stages) report.totalSeconds += t.seconds;
   obs::counterAdd(obs::Counter::AnalysesCompleted);
   if (!report.passive) obs::counterAdd(obs::Counter::AnalysesNotPassive);
   obs::gaugeAdd(obs::Gauge::AnalysesInFlight, -1);

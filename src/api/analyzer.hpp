@@ -68,26 +68,21 @@ struct AnalysisReport {
   /// Health of the one-pass staircase deflation chain (kernel mix,
   /// compression reuse, chain truncation — linalg/staircase.hpp), merged
   /// across the impulse-deflation, nondynamic-removal, and m1-extraction
-  /// stages; all-zero when every stage ran the legacy SVD chain.
-  /// Serialized under diagnostics.staircase.
+  /// stages. Serialized under diagnostics.staircase.
   linalg::StaircaseReport staircase;
   /// Non-fatal diagnostic flags (e.g. Warning::ReorderSwapRejected).
   std::vector<Warning> warnings;
 
   // Execution record.
-  /// One trace per executed stage, in canonical order. Stage-graph runs
-  /// that stopped early additionally append the speculative stages that
-  /// executed past the cutoff, marked StageTrace::discarded (excluded
-  /// from decisionEquals and totalSeconds).
+  /// One trace per executed stage, in Fig.-1 order.
   std::vector<StageTrace> stages;
   double totalSeconds = 0.0;
-  /// How the two-level scheduler ran this analysis (shard plan slot,
-  /// kernel budget, steal/stage-graph records — api/scheduler.hpp).
-  /// Default-initialized for plain sequential analyze() calls. Like
-  /// totalSeconds this is an EXECUTION record: decisionEquals ignores it
-  /// entirely (steal counts and critical paths are timing-dependent; the
-  /// plan fields are deterministic but describe scheduling, not the
-  /// Fig.-1 decision path).
+  /// How the batch scheduler ran this analysis (shard plan slot, kernel
+  /// budget, steal records — api/scheduler.hpp). Default-initialized for
+  /// plain analyze() calls. Like totalSeconds this is an EXECUTION
+  /// record: decisionEquals ignores it entirely (steal counts are
+  /// timing-dependent; the plan fields are deterministic but describe
+  /// scheduling, not the Fig.-1 decision path).
   SchedulerReport scheduler;
 
   /// Decision-path equality: every field that reflects WHAT was decided
@@ -107,19 +102,9 @@ struct AnalyzerOptions {
   core::PassivityOptions passivity;  ///< Default per-analysis options.
   std::size_t threads = 0;  ///< Worker threads for runBatch; 0 = hardware
                             ///< concurrency.
-  /// Level-2 shard scheduling knobs for runBatch (the `workers` field is
+  /// Batch shard scheduling knobs for runBatch (the `workers` field is
   /// overridden per batch from `threads` and the batch size).
   SchedulerOptions scheduler;
-  /// Level-1: run each analysis's Fig.-1 stages as a dependency-ordered
-  /// task graph (Pipeline::runGraph) instead of sequentially. Decisions
-  /// are bit-identical either way (the runGraph contract); this trades
-  /// stageGraphThreads extra threads per in-flight analysis for stage
-  /// overlap. Also forced on process-wide by the environment variable
-  /// SHHPASS_STAGE_GRAPH (any value but "0"), read once at analyzer
-  /// construction — the tsan CI job drives the whole suite through the
-  /// graph path this way.
-  bool stageGraph = false;
-  std::size_t stageGraphThreads = 2;  ///< Pool width per stage graph.
   /// Telemetry switches (span tracing, metrics registry, memory
   /// accounting — src/obs/). Applied process-wide at analyzer
   /// construction; the environment forces SHHPASS_TRACE=path and
@@ -172,8 +157,7 @@ class PassivityAnalyzer {
   Result<AnalysisReport> analyzeImpl(const ds::DescriptorSystem& system,
                                      const core::PassivityOptions& opts,
                                      const std::string& id,
-                                     bool notifyObserver,
-                                     std::size_t gemmBudget) const;
+                                     bool notifyObserver) const;
 
   AnalyzerOptions options_;
   mutable std::mutex observerMu_;  ///< Guards observer_ (set vs snapshot).

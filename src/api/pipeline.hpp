@@ -11,25 +11,6 @@
 //                      stops, the analysis itself SUCCEEDED;
 //   * error code    -> the analysis failed (bad input / numerical
 //                      breakdown); the run stops and the error propagates.
-//
-// ## Two execution modes (level-1 scheduling)
-//
-// run() executes the stages strictly in order on the calling thread — the
-// sequential oracle. runGraph() executes the same stages as a dependency-
-// ordered task DAG on a ThreadPool (api/thread_pool.hpp TaskGraph):
-// stages whose declared dependencies are satisfied run concurrently
-// (nondynamic-removal overlaps m1-extraction, m1-extraction overlaps
-// proper-part — the independent branches of Fig. 1).
-//
-// Determinism is preserved by a run/commit split: Stage::run computes
-// into PRIVATE PipelineState slots only (never the shared
-// state.result), and Stage::commit merges those slots into state.result.
-// runGraph applies commits in CANONICAL stage order with a cutoff at the
-// first non-ok stage, so the assembled traces, diagnostics, and verdict
-// are bit-identical to run() — speculative work past the sequential
-// stopping point is computed and discarded, never observed. The only
-// fields that may differ between the two modes are wall-clock timings
-// (StageTrace::seconds), which decisionEquals already excludes.
 #pragma once
 
 #include <cstddef>
@@ -49,17 +30,9 @@
 
 namespace shhpass::api {
 
-class ThreadPool;
-
 /// Mutable state threaded through the stages: the input system, the
 /// intermediate realizations, and the accumulated legacy-compatible
 /// diagnostics (core::PassivityResult) from which reports are built.
-///
-/// Slot ownership contract (what makes runGraph race-free): every slot
-/// below `result` is written by exactly ONE stage's run() and read only
-/// by stages that declare that stage as a dependency; `result` itself is
-/// written only by Stage::commit calls, which the runners invoke on one
-/// thread in canonical order.
 struct PipelineState {
   const ds::DescriptorSystem* input = nullptr;  ///< Borrowed; must outlive.
   core::PassivityOptions options;
@@ -69,47 +42,18 @@ struct PipelineState {
   core::ImpulseDeflationResult deflation;     ///< Set by ImpulseDeflation.
   core::NondynamicRemovalResult nondynamic;   ///< Set by NondynamicRemoval.
 
-  // Private output slots of the m1-extraction stage (committed into
-  // `result` by its commit()).
-  core::M1Extraction m1;              ///< Set by M1Extraction.
-  linalg::Matrix m1Scaled;            ///< M1 with frequency scaling undone.
-  linalg::RankReport m1Rank;          ///< Rank decisions of this stage only.
-  linalg::StaircaseReport m1Staircase;  ///< Staircase health, this stage.
-
-  /// Private output slot of the proper-part stage; pr-test reads it (its
-  /// declared dependency), commit() copies it into result.properPart.
-  core::ProperPartResult properPart;
-
-  /// Intra-stage overlap pool, set by runGraph when the pool has >= 2
-  /// workers (a stage that submits a subtask and blocks needs a second
-  /// worker to make progress). Null in sequential run(): stages fall back
-  /// to their inline paths. Stages may borrow it for internal
-  /// fork/join work (proper-part overlaps the Ebar SVD certificate with
-  /// the Hamiltonian decoupling); at most one stage of the graph ever
-  /// blocks on a subtask, so the pool cannot deadlock.
-  ThreadPool* stagePool = nullptr;
-
   /// Verdict + diagnostics, identical in content to the legacy
   /// testPassivityShh result (the deprecated shim returns exactly this).
   core::PassivityResult result;
 };
 
-/// One box of the Fig.-1 flowchart, split into a compute half and a
-/// commit half so runGraph can execute runs concurrently:
-///   * run()    — reads its dependencies' slots, writes ONLY its own
-///                private PipelineState slots; must not touch
-///                state.result (thread-safety invariant of runGraph);
-///   * commit() — merges the private slots into state.result; invoked by
-///                the runners on one thread, in canonical stage order,
-///                for every stage whose run() returned (ok or verdict)
-///                without throwing, up to and including the first non-ok
-///                stage.
+/// One box of the Fig.-1 flowchart: reads the state the earlier stages
+/// left and records its outputs and diagnostics into it.
 class Stage {
  public:
   virtual ~Stage() = default;
   virtual const char* name() const = 0;
   virtual Status run(PipelineState& state) = 0;
-  virtual void commit(PipelineState& state) { (void)state; }
 };
 
 /// Per-stage execution record: what ran, how long, and with what outcome.
@@ -121,24 +65,6 @@ struct StageTrace {
   /// unless the memory accountant is enabled. Execution record only —
   /// never part of decisionEquals.
   std::size_t peakBytes = 0;
-  /// True for a speculative runGraph stage that executed past the
-  /// canonical cutoff and was never committed. Discarded traces are
-  /// appended AFTER the canonical (sequential-identical) trace list, in
-  /// stage-index order; excluded from decisionEquals and from observer
-  /// notifications.
-  bool discarded = false;
-};
-
-/// Execution record of one runGraph call (level-1 diagnostics threaded
-/// into AnalysisReport::scheduler). Everything here is an execution
-/// record, not a decision: executed/skipped counts can exceed the
-/// sequential stage count's view (speculative stages), and the critical
-/// path is wall-clock. None of it participates in decisionEquals.
-struct StageGraphReport {
-  bool used = false;                 ///< runGraph ran (vs sequential run).
-  std::size_t executedStages = 0;    ///< Nodes whose callable ran.
-  std::size_t skippedStages = 0;     ///< Nodes skipped by a failed dep.
-  double criticalPathSeconds = 0.0;  ///< Longest dependency chain.
 };
 
 /// An ordered sequence of stages with timing and diagnostic hooks.
@@ -152,25 +78,13 @@ class Pipeline {
 
   /// The seven-stage Fig.-1 pipeline of the paper: prerequisites, Phi
   /// build, impulse deflation, nondynamic removal, M1 extraction/PSD
-  /// check, proper-part extraction, positive-realness test — with the
-  /// paper's data-dependency edges declared (nondynamic-removal and
-  /// m1-extraction are independent branches after impulse deflation).
+  /// check, proper-part extraction, positive-realness test.
   static Pipeline standard();
 
-  /// Append a stage. `deps` lists indices of already-added stages whose
-  /// run() outputs this stage reads; runGraph orders execution by these
-  /// edges (run() ignores them — sequential order satisfies any valid
-  /// edge set by construction). An empty list keeps the historical
-  /// chain semantics for runGraph too: the stage then depends on its
-  /// predecessor (index size()-1) unless it is the first stage.
-  Pipeline& addStage(std::unique_ptr<Stage> stage,
-                     std::vector<std::size_t> deps = {});
+  /// Append a stage; stages run in insertion order.
+  Pipeline& addStage(std::unique_ptr<Stage> stage);
   const std::vector<std::unique_ptr<Stage>>& stages() const {
     return stages_;
-  }
-  /// Dependency edges per stage (same indexing as stages()).
-  const std::vector<std::vector<std::size_t>>& dependencies() const {
-    return deps_;
   }
 
   /// Run the stages on `state`. Exceptions escaping a stage are translated
@@ -193,29 +107,8 @@ class Pipeline {
   Status run(PipelineState& state, std::vector<StageTrace>* traces = nullptr,
              const Observer& observer = nullptr) const;
 
-  /// Dependency-ordered execution of the same stages on `pool` (level-1
-  /// scheduling). Contract: decisions, diagnostics, traces (names and
-  /// statuses), observer notification order, and the returned Status are
-  /// bit-identical to run() for every pool size — only StageTrace::seconds
-  /// and `graph` (if non-null) reflect the concurrent execution. The one
-  /// deliberate trace addition: speculative stages that executed past the
-  /// canonical cutoff are appended to `traces` with discarded == true (in
-  /// stage-index order, after the canonical list) so telemetry accounts
-  /// for every node the graph actually ran; decisionEquals ignores them. The
-  /// observer is still invoked on the calling thread, in canonical stage
-  /// order, before runGraph returns. `gemmBudget` (0 = none) is
-  /// re-established as the per-thread kernel budget inside every stage
-  /// task (linalg::GemmThreadBudgetScope is thread-local and would not
-  /// otherwise propagate onto pool workers). Must not be called from a
-  /// worker of `pool`.
-  Status runGraph(PipelineState& state, std::vector<StageTrace>* traces,
-                  ThreadPool& pool, StageGraphReport* graph = nullptr,
-                  const Observer& observer = nullptr,
-                  std::size_t gemmBudget = 0) const;
-
  private:
   std::vector<std::unique_ptr<Stage>> stages_;
-  std::vector<std::vector<std::size_t>> deps_;
 };
 
 /// The shared immutable instance of Pipeline::standard() used by both the

@@ -1,8 +1,7 @@
-// Level-2 scheduling for PassivityAnalyzer::runBatch: a deterministic
+// Batch scheduling for PassivityAnalyzer::runBatch: a deterministic
 // shard plan executed by a work-stealing worker crew, with per-shard gemm
-// kernel-thread budgets (ElKabbany-&-Aslan-style two-level decomposition:
-// this layer schedules ACROSS analyses, the stage graph in
-// api/pipeline.hpp schedules INSIDE one).
+// kernel-thread budgets. This layer schedules ACROSS analyses; inside one
+// analysis the only parallelism is the gemm kernel pool (linalg/blas.hpp).
 //
 // ## Determinism contract
 //
@@ -70,12 +69,6 @@ struct SchedulerReport {
   // -- execution records (nondeterministic; excluded from decisions) --
   bool stolen = false;          ///< Shard ran on a non-home worker.
   std::size_t batchSteals = 0;  ///< Total steals across the batch.
-  // -- level-1 stage-graph record (execution; set when the per-analysis
-  // -- stage graph ran, see AnalyzerOptions::stageGraph) --
-  bool stageGraph = false;
-  std::size_t stageGraphExecuted = 0;
-  std::size_t stageGraphSkipped = 0;
-  double stageGraphCriticalPathSeconds = 0.0;
 };
 
 /// One unit of stealing: a run of item indices sharing a kernel budget.

@@ -1,11 +1,7 @@
 #include "api/thread_pool.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
-
-#include "obs/clock.hpp"
-#include "obs/trace.hpp"
 
 namespace shhpass::api {
 
@@ -76,210 +72,6 @@ void ThreadPool::workerLoop() {
       if (queue_.empty() && inFlight_ == 0) allDone_.notify_all();
     }
   }
-}
-
-// ------------------------------------------------------------- TaskGraph
-
-TaskGraph::~TaskGraph() {
-  // Block until every node is terminal: submitted jobs reference `this`,
-  // so leaving early would be a use-after-free. Errors never observed via
-  // wait() are dropped (a destructor cannot throw), mirroring ThreadPool.
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!launched_) return;
-  allTerminal_.wait(lock, [this] { return terminal_ == nodes_.size(); });
-}
-
-TaskGraph::NodeId TaskGraph::add(std::string name, std::function<void()> fn,
-                                 const std::vector<NodeId>& deps) {
-  std::lock_guard<std::mutex> lock(mu_);
-  assert(!launched_ && "TaskGraph::add after run()");
-  const NodeId id = nodes_.size();
-  Node node;
-  node.name = std::move(name);
-  node.fn = std::move(fn);
-  for (NodeId dep : deps) {
-    assert(dep < id && "TaskGraph dependency on a node not yet added");
-    node.deps.push_back(dep);
-  }
-  node.remainingDeps = node.deps.size();
-  nodes_.push_back(std::move(node));
-  for (NodeId dep : nodes_[id].deps) nodes_[dep].dependents.push_back(id);
-  return id;
-}
-
-void TaskGraph::run() {
-  std::vector<NodeId> roots;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    assert(!launched_ && "TaskGraph::run called twice");
-    launched_ = true;
-    if (pool_ != nullptr) {
-      for (NodeId id = 0; id < nodes_.size(); ++id)
-        if (nodes_[id].remainingDeps == 0) roots.push_back(id);
-    }
-  }
-  if (pool_ == nullptr) {
-    // Inline serial mode: canonical insertion order IS a topological
-    // order (deps < id by construction). This path is the determinism
-    // oracle the pool mode is compared against.
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        // A failed node's finish() already cascaded skips to its
-        // dependents; only still-Pending nodes need handling here.
-        if (nodes_[id].state != NodeState::Pending) continue;
-        bool ready = true;
-        for (NodeId dep : nodes_[id].deps)
-          if (nodes_[dep].state != NodeState::Done) ready = false;
-        if (!ready) {
-          nodes_[id].state = NodeState::Skipped;
-          ++terminal_;
-          continue;
-        }
-      }
-      execute(id);
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    allTerminal_.notify_all();
-    return;
-  }
-  for (NodeId id : roots)
-    pool_->submit([this, id] { execute(id); });
-}
-
-void TaskGraph::execute(NodeId id) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    nodes_[id].state = NodeState::Running;
-  }
-  const std::uint64_t t0 = obs::monotonicNowNs();
-  std::exception_ptr err;
-  try {
-    nodes_[id].fn();
-  } catch (...) {
-    err = std::current_exception();
-  }
-  const std::uint64_t t1 = obs::monotonicNowNs();
-  // Node names are stable for the graph's lifetime; the span copies it.
-  obs::emitSpan(nodes_[id].name, "graph", t0, t1, obs::currentThreadTid());
-  // Hand the exception reference to finish() so this worker holds
-  // nothing once the error is observable through wait().
-  const NodeState terminal = err ? NodeState::Failed : NodeState::Done;
-  finish(id, terminal, std::move(err), obs::nsToSeconds(t0, t1));
-}
-
-void TaskGraph::finish(NodeId id, NodeState terminal, std::exception_ptr err,
-                       double seconds) {
-  std::vector<NodeId> newlyReady;
-  ThreadPool* pool = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    Node& node = nodes_[id];
-    node.state = terminal;
-    node.error = std::move(err);
-    node.seconds = seconds;
-    ++terminal_;
-    if (terminal == NodeState::Done) {
-      for (NodeId dep : node.dependents) {
-        Node& d = nodes_[dep];
-        if (d.state != NodeState::Pending) continue;  // already skipped
-        if (--d.remainingDeps == 0) newlyReady.push_back(dep);
-      }
-    } else {
-      skipDependentsLocked(id, &newlyReady);
-    }
-    if (terminal_ == nodes_.size()) allTerminal_.notify_all();
-    // Snapshot pool_ while the graph is pinned alive: once the notify
-    // above publishes the final terminal_ count, the destructor may
-    // return and `this` may be gone. If newlyReady is non-empty this
-    // node was NOT the last terminal one, so the graph outlives the
-    // submits below; only the member read itself must happen here.
-    pool = pool_;
-  }
-  if (pool != nullptr)
-    for (NodeId ready : newlyReady)
-      pool->submit([this, ready] { execute(ready); });
-}
-
-// Pre: mu_ held. Marks every Pending dependent of a failed/skipped node
-// Skipped and cascades. Which nodes end up skipped depends only on WHICH
-// nodes failed, never on completion timing: a node is skipped iff some
-// ancestor failed, and the cascade reaches exactly that set whatever
-// order terminal events arrive in (the Pending guard makes marking
-// idempotent).
-void TaskGraph::skipDependentsLocked(NodeId id,
-                                     std::vector<NodeId>* newlyReady) {
-  (void)newlyReady;
-  for (NodeId dep : nodes_[id].dependents) {
-    Node& d = nodes_[dep];
-    if (d.state != NodeState::Pending) continue;
-    d.state = NodeState::Skipped;
-    ++terminal_;
-    skipDependentsLocked(dep, newlyReady);
-  }
-}
-
-void TaskGraph::wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  allTerminal_.wait(
-      lock, [this] { return launched_ && terminal_ == nodes_.size(); });
-  for (const Node& node : nodes_) {
-    if (node.state == NodeState::Failed && node.error) {
-      std::exception_ptr err = node.error;
-      lock.unlock();
-      std::rethrow_exception(err);
-    }
-  }
-}
-
-bool TaskGraph::completed(NodeId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return nodes_[id].state == NodeState::Done;
-}
-
-bool TaskGraph::skipped(NodeId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return nodes_[id].state == NodeState::Skipped;
-}
-
-double TaskGraph::nodeSeconds(NodeId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return nodes_[id].seconds;
-}
-
-double TaskGraph::criticalPathSeconds() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  // DP over canonical order (deps < id): path length to each node's end.
-  std::vector<double> path(nodes_.size(), 0.0);
-  double best = 0.0;
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    double longestDep = 0.0;
-    for (NodeId dep : nodes_[id].deps)
-      longestDep = std::max(longestDep, path[dep]);
-    const double own =
-        nodes_[id].state == NodeState::Done || nodes_[id].state == NodeState::Failed
-            ? nodes_[id].seconds
-            : 0.0;
-    path[id] = longestDep + own;
-    best = std::max(best, path[id]);
-  }
-  return best;
-}
-
-std::size_t TaskGraph::executedCount() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  for (const Node& node : nodes_)
-    if (node.state == NodeState::Done || node.state == NodeState::Failed) ++n;
-  return n;
-}
-
-std::size_t TaskGraph::skippedCount() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  for (const Node& node : nodes_)
-    if (node.state == NodeState::Skipped) ++n;
-  return n;
 }
 
 }  // namespace shhpass::api

@@ -25,10 +25,9 @@
 //     before the workers join. This is deterministic — a caller that
 //     submits N jobs and destroys the pool observes exactly N executions,
 //     with no torn state (tests/test_thread_pool_stress.cpp pins it).
-//   * A worker may submit() to its own pool (nested submission, used by
-//     task-graph experiments); wait() accounts for jobs enqueued by other
-//     jobs because the barrier predicate is queue-empty AND none in
-//     flight. A worker must NOT call wait() on its own pool: its own job
+//   * A worker may submit() to its own pool (nested submission); wait()
+//     accounts for jobs enqueued by other jobs because the barrier
+//     predicate is queue-empty AND none in flight. A worker must NOT call wait() on its own pool: its own job
 //     counts as in flight, so the barrier could never open (deadlock by
 //     construction, not a race).
 #pragma once
@@ -40,7 +39,6 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -86,101 +84,6 @@ class ThreadPool {
   bool stopping_ = false;               // guarded by mu_
   std::exception_ptr firstError_;       // guarded by mu_
   std::atomic<std::size_t> jobsExecuted_{0};
-};
-
-/// Dependency-ordered task DAG executed on a ThreadPool. This is the
-/// level-1 scheduling primitive: the analyzer's Fig.-1 stage graph and the
-/// batch scheduler's intra-analysis overlaps both run on it.
-///
-/// ## Contract (machine-checked by tests/test_thread_pool_stress.cpp and
-/// ## the `tsan` CI job)
-///
-///   * Acyclic by construction: add() only accepts dependencies on nodes
-///     that already exist (dep id < new id), so a cycle cannot be
-///     expressed. Node ids are dense and ordered by insertion; that
-///     insertion order is the graph's CANONICAL order, and every
-///     deterministic guarantee below is stated against it.
-///   * A node runs only after all its dependencies completed without
-///     throwing. If any dependency failed (threw) or was itself skipped,
-///     the node is SKIPPED — its callable is never invoked — and the skip
-///     propagates to its dependents. Which nodes run vs skip is a pure
-///     function of which nodes fail, never of thread timing.
-///   * Errors: a node callable may throw. wait() rethrows the error of
-///     the LOWEST-ID failed node (canonical, not temporal, order — two
-///     racing failures always surface the same one) after every node has
-///     reached a terminal state. The graph is single-shot: one run(),
-///     one wait().
-///   * run() with a null pool executes every node inline on the calling
-///     thread in canonical order (the serial oracle the determinism tests
-///     compare against); with a pool it submits ready nodes and returns
-///     immediately. run() must not be called from a worker of the same
-///     pool (its wait() would then deadlock by the ThreadPool contract).
-///   * Destruction with an unfinished graph blocks until every node is
-///     terminal (running nodes finish, skip cascades resolve); errors
-///     never observed via wait() are dropped, mirroring ThreadPool.
-class TaskGraph {
- public:
-  using NodeId = std::size_t;
-
-  /// `pool == nullptr` selects the inline serial mode (see contract).
-  /// The pool is borrowed and must outlive the graph.
-  explicit TaskGraph(ThreadPool* pool) : pool_(pool) {}
-  ~TaskGraph();
-
-  TaskGraph(const TaskGraph&) = delete;
-  TaskGraph& operator=(const TaskGraph&) = delete;
-
-  /// Add a node. Every id in `deps` must name an existing node; the node
-  /// runs only after all of them completed successfully.
-  NodeId add(std::string name, std::function<void()> fn,
-             const std::vector<NodeId>& deps = {});
-
-  /// Launch the graph (see contract for pool vs inline semantics).
-  void run();
-
-  /// Block until every node is terminal; rethrow the lowest-id error.
-  void wait();
-
-  std::size_t size() const { return nodes_.size(); }
-  /// Node ran to completion without throwing. Valid after wait().
-  bool completed(NodeId id) const;
-  /// Node was skipped because a dependency failed or was skipped.
-  bool skipped(NodeId id) const;
-  /// Wall-clock seconds of one node's callable (0 if skipped/failed
-  /// before timing started). Valid after wait().
-  double nodeSeconds(NodeId id) const;
-  /// Longest dependency-chain wall-clock over the executed nodes: the
-  /// lower bound on graph makespan with unlimited workers. Skipped nodes
-  /// contribute zero but pass their predecessors' path through.
-  double criticalPathSeconds() const;
-  std::size_t executedCount() const;
-  std::size_t skippedCount() const;
-
- private:
-  enum class NodeState { Pending, Running, Done, Failed, Skipped };
-
-  struct Node {
-    std::string name;
-    std::function<void()> fn;
-    std::vector<NodeId> deps;
-    std::vector<NodeId> dependents;
-    std::size_t remainingDeps = 0;  // guarded by mu_
-    NodeState state = NodeState::Pending;
-    std::exception_ptr error;
-    double seconds = 0.0;
-  };
-
-  void execute(NodeId id);                 // pool job body
-  void finish(NodeId id, NodeState terminal, std::exception_ptr err,
-              double seconds);             // transitions + cascade
-  void skipDependentsLocked(NodeId id, std::vector<NodeId>* newlyReady);
-
-  ThreadPool* pool_;
-  mutable std::mutex mu_;
-  std::condition_variable allTerminal_;
-  std::vector<Node> nodes_;
-  std::size_t terminal_ = 0;  // guarded by mu_
-  bool launched_ = false;
 };
 
 }  // namespace shhpass::api

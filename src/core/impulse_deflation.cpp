@@ -1,9 +1,7 @@
 #include "core/impulse_deflation.hpp"
 
 #include "linalg/blas.hpp"
-#include "linalg/qr.hpp"
 #include "linalg/staircase.hpp"
-#include "linalg/svd.hpp"
 #include "shh/symplectic.hpp"
 
 namespace shhpass::core {
@@ -47,8 +45,10 @@ Matrix blockDiagPhiMultiply(const Matrix& mHalf, const Matrix& v,
   return out;
 }
 
-ImpulseDeflationResult deflateImpulseModesStaircase(
-    const shh::ShhRealization& phi, double rankTol) {
+}  // namespace
+
+ImpulseDeflationResult deflateImpulseModes(const shh::ShhRealization& phi,
+                                           double rankTol) {
   ImpulseDeflationResult out;
   linalg::StaircaseReport& sr = out.staircase;
   const std::size_t n2 = phi.order();
@@ -127,11 +127,14 @@ ImpulseDeflationResult deflateImpulseModesStaircase(
     return out;
   }
 
-  // Step 3: the deflated right subspace is span([V_o, J A V_o]) (see the
-  // legacy implementation for why the cross block vanishes); its
-  // orthonormal complement is the keep basis. One tall QR-compression
-  // provides the span rank AND the complement (left nullspace) at once —
-  // the legacy chain pays a full SVD plus a separate full-Q QR here.
+  // Step 3: the deflated right subspace is span([V_o, J A V_o]):
+  // discarding V_o alone would leave a coupling through the rows J V_o.
+  // Because A v in Im E for v in V_o and E^T J = J E, the cross block
+  // (J V_o)^T A V_o vanishes, which makes the truncation *exactly*
+  // transfer-preserving (the discarded states satisfy x = 0 identically
+  // or are unobservable). Its orthonormal complement is the keep basis V,
+  // and the dual left basis is W = -J V. One tall QR-compression provides
+  // the span rank AND the complement (left nullspace) at once.
   Matrix partners = shh::applyJ(aMultiply(vo));
   linalg::CompressionOptions spanOpts;
   spanOpts.rankTol = rankTol;
@@ -151,74 +154,6 @@ ImpulseDeflationResult deflateImpulseModesStaircase(
                   : phi.e * v;
   out.reduced.e = linalg::atb(w, ev);
   out.reduced.a = linalg::atb(w, aMultiply(v));
-  out.reduced.c = phi.c * v;
-  out.reduced.d = phi.d;
-  // Scrub the structural symmetry (W^T E V = V^T J E V is skew because
-  // J E is skew; likewise A1 is symmetric because J A is symmetric).
-  linalg::skewSymmetrize(out.reduced.e);
-  linalg::symmetrize(out.reduced.a);
-  return out;
-}
-
-}  // namespace
-
-Matrix impulseUnobservableSubspace(const shh::ShhRealization& phi,
-                                   double rankTol,
-                                   linalg::RankReport* report) {
-  // V_o = { v in Ker E : A v in Im E, C v = 0 }.
-  linalg::SVD esvd(phi.e);
-  esvd.rank(rankTol, report);
-  Matrix kerE = esvd.nullspace(rankTol);
-  if (kerE.cols() == 0) return Matrix(phi.order(), 0);
-  // Component of A * KerE outside Im E: (I - R R^T) A KerE, R = range(E),
-  // with one re-orthogonalization pass.
-  Matrix range = esvd.range(rankTol);
-  Matrix proj = projectOutTwice(range, phi.a * kerE);
-  Matrix stacked = linalg::vcat(proj, phi.c * kerE);
-  linalg::SVD ssvd(stacked);
-  ssvd.rank(rankTol, report);
-  Matrix coeff = ssvd.nullspace(rankTol);
-  if (coeff.cols() == 0) return Matrix(phi.order(), 0);
-  return kerE * coeff;  // orthonormal: kerE orthonormal, coeff orthonormal
-}
-
-ImpulseDeflationResult deflateImpulseModes(const shh::ShhRealization& phi,
-                                           double rankTol,
-                                           DeflationPath path) {
-  if (resolveDeflationPath(path, phi.order()) == DeflationPath::Staircase)
-    return deflateImpulseModesStaircase(phi, rankTol);
-
-  ImpulseDeflationResult out;
-  out.impulseUnobservable =
-      impulseUnobservableSubspace(phi, rankTol, &out.rankReport);
-
-  // The deflated right subspace is span([V_o, J A V_o]): discarding V_o
-  // alone would leave a coupling through the rows J V_o. Because
-  // A v in Im E for v in V_o and E^T J = J E, the cross block
-  // (J V_o)^T A V_o vanishes, which makes the truncation *exactly*
-  // transfer-preserving (the discarded states satisfy x = 0 identically
-  // or are unobservable). The dual left subspace is J * (right subspace),
-  // so the left keep-basis can again be taken as -J V.
-  Matrix rBad = out.impulseUnobservable;
-  if (rBad.cols() > 0) {
-    // Span basis via the shared SVD rank policy (historically a pivoted-QR
-    // range at a hand-rolled 1e-10 cutoff; unified in the blocked-SVD PR —
-    // the golden-set parity test pins the verdicts across that change).
-    Matrix partners = shh::applyJ(phi.a * out.impulseUnobservable);
-    linalg::SVD span(linalg::hcat(rBad, partners));
-    span.rank(rankTol, &out.rankReport);
-    rBad = span.range(rankTol);
-  }
-  out.removed = rBad.cols();
-
-  // Right basis: orthogonal complement of the deflated subspace. Left
-  // basis: W = -J V, automatically orthogonal to the uncontrollable family.
-  Matrix v = linalg::orthonormalComplement(rBad);
-  out.vKeep = v;
-  Matrix w = -1.0 * shh::applyJ(v);
-
-  out.reduced.e = linalg::multiply(linalg::atb(w, phi.e), false, v, false);
-  out.reduced.a = linalg::multiply(linalg::atb(w, phi.a), false, v, false);
   out.reduced.c = phi.c * v;
   out.reduced.d = phi.d;
   // Scrub the structural symmetry (W^T E V = V^T J E V is skew because

@@ -1,13 +1,11 @@
 #include "core/markov.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "ds/impulse_tests.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/lu.hpp"
-#include "linalg/qr.hpp"
 #include "linalg/staircase.hpp"
 #include "linalg/svd.hpp"
 
@@ -17,21 +15,7 @@ using linalg::Matrix;
 
 namespace {
 
-// Grade-1 chain heads with a grade-2 partner: { v in Ker E : A v in Im E }.
-// Returns an orthonormal basis (n x p). Legacy (SVD-chain) variant.
-Matrix grade1WithPartners(const Matrix& e, const Matrix& a, double rankTol) {
-  linalg::SVD esvd(e);
-  Matrix ker = esvd.nullspace(rankTol);
-  if (ker.cols() == 0) return Matrix(e.rows(), 0);
-  Matrix range = esvd.range(rankTol);
-  Matrix ak = a * ker;
-  Matrix outside = ak - range * linalg::atb(range, ak);
-  Matrix coeff = linalg::SVD(outside).nullspace(rankTol);
-  if (coeff.cols() == 0) return Matrix(e.rows(), 0);
-  return ker * coeff;
-}
-
-// Shared tail of both paths: project onto the impulsive deflating
+// Tail of the extraction: project onto the impulsive deflating
 // subspaces Z_R = [V1 V2], Z_L = [W1 W2] (Eq. 25) and evaluate
 // M1 = -Cinf Ainf^{-1} Einf Ainf^{-1} Binf.
 void finishExtraction(M1Extraction& out, const ds::DescriptorSystem& g,
@@ -66,9 +50,12 @@ void finishExtraction(M1Extraction& out, const ds::DescriptorSystem& g,
   }
 }
 
-M1Extraction extractM1Staircase(const ds::DescriptorSystem& g,
-                                double rankTol,
-                                const linalg::Compression* eCompression) {
+}  // namespace
+
+M1Extraction extractM1(const ds::DescriptorSystem& g, double rankTol,
+                       DeflationPath /*path*/,
+                       const linalg::Compression* eCompression) {
+  g.validate();
   M1Extraction out;
   const std::size_t n = g.order();
   out.m1 = Matrix(g.numOutputs(), g.numInputs());
@@ -135,44 +122,6 @@ M1Extraction extractM1Staircase(const ds::DescriptorSystem& g,
   Matrix v2 = ce->applyPinv(g.a * v1);
   Matrix w2 = ce->applyPinvTranspose(linalg::atb(g.a, w1));
   sr.reusedCompressions += 2;
-
-  finishExtraction(out, g, v1, v2, w1, w2);
-  return out;
-}
-
-}  // namespace
-
-M1Extraction extractM1(const ds::DescriptorSystem& g, double rankTol,
-                       DeflationPath path,
-                       const linalg::Compression* eCompression) {
-  g.validate();
-  if (resolveDeflationPath(path, g.order()) == DeflationPath::Staircase)
-    return extractM1Staircase(g, rankTol, eCompression);
-
-  M1Extraction out;
-  const std::size_t m = g.numOutputs();
-  out.m1 = Matrix(m, g.numInputs());
-
-  // Right chains on (E, A).
-  Matrix v1 = grade1WithPartners(g.e, g.a, rankTol);
-  // Left chains on (E^T, A^T).
-  Matrix w1 = grade1WithPartners(g.e.transposed(), g.a.transposed(), rankTol);
-  const std::size_t p = v1.cols();
-  out.chainCount = p;
-  if (p == 0 || w1.cols() != p) {
-    // No impulsive chains (or a left/right mismatch indicating a structure
-    // beyond one grade-2 family, handled by the higher-order check).
-    out.symmetric = true;
-    out.psd = p == 0;
-    return out;
-  }
-
-  // Grade-2 partners: E V2 = A V1 and E^T W2 = A^T W1 (any particular
-  // solution works; the pseudoinverse picks the minimum-norm one, Eq. 25).
-  linalg::SVD esvd(g.e);
-  Matrix v2 = esvd.pseudoInverse(rankTol) * (g.a * v1);
-  linalg::SVD etsvd(g.e.transposed());
-  Matrix w2 = etsvd.pseudoInverse(rankTol) * (g.a.transposed() * w1);
 
   finishExtraction(out, g, v1, v2, w1, w2);
   return out;

@@ -3,21 +3,26 @@
 // eigenvector chains (Eqs. 24-25), plus the detection of higher-order
 // (grade >= 3) impulsive structure which Eq. (3) forbids for passive G.
 //
-// Two implementations (core/deflation_path.hpp): the staircase path makes
-// ONE rank-revealing compression of E serve every consumer of the chain —
+// ONE rank-revealing compression of E serves every consumer of the chain —
 // Ker E / Im E for the right chains, Ker E^T / Im E^T for the left chains,
 // and both pseudoinverse applications E^+ and (E^T)^+ for the grade-2
-// partners — where the legacy path pays four full SVDs of E. When the
+// partners — where the historical full-SVD chain (now the test oracle,
+// tests/deflation_oracle.hpp) pays four full SVDs of E. When the
 // impulse-deflation stage already compressed the (balanced) E, the
 // pipeline hands that compression in and this stage recomputes nothing.
 #pragma once
 
-#include "core/deflation_path.hpp"
 #include "ds/descriptor.hpp"
 #include "linalg/staircase.hpp"
 #include "linalg/svd.hpp"
 
 namespace shhpass::core {
+
+/// Retired implementation selector of the deflation chains: the staircase
+/// is the only implementation, so Auto is the only value and nothing
+/// dispatches on it. It stays only so existing callers that spell out the
+/// third argument of extractM1 keep compiling.
+enum class DeflationPath { Auto };
 
 /// Result of the M1 extraction.
 struct M1Extraction {
@@ -26,10 +31,9 @@ struct M1Extraction {
   bool symmetric = false;   ///< M1 = M1^T within tolerance (required for
                             ///< positive realness of the pole at infinity).
   bool psd = false;         ///< M1 symmetric positive semidefinite.
-  /// Rank decisions taken on the staircase path (shared policy). Empty
-  /// when the legacy SVD chain ran (it predates the recording plumbing).
+  /// Rank decisions taken (shared policy).
   linalg::RankReport rankReport;
-  /// Staircase-path health; all-zero when the legacy SVD chain ran.
+  /// Staircase health (kernel mix, compression reuse, chain truncation).
   linalg::StaircaseReport staircase;
 };
 
@@ -38,10 +42,9 @@ struct M1Extraction {
 /// likewise on (E^T, A^T); then M1 = -Cinf Ainf^{-1} Einf Ainf^{-1} Binf
 /// on the projected pencil. For an impulse-free system M1 = 0.
 ///
-/// `path` selects the staircase vs legacy implementation (Auto dispatches
-/// on g.order()). On the staircase path, a non-null `eCompression` (a
-/// compression of g.e with range/corange/nullspace/leftNullspace bases)
-/// is reused instead of recompressing E.
+/// A non-null `eCompression` (a compression of g.e with range/corange/
+/// nullspace/leftNullspace bases) is reused instead of recompressing E.
+/// `path` is ignored (see DeflationPath).
 M1Extraction extractM1(const ds::DescriptorSystem& g, double rankTol = -1.0,
                        DeflationPath path = DeflationPath::Auto,
                        const linalg::Compression* eCompression = nullptr);

@@ -5,7 +5,6 @@
 #include "linalg/blas.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/staircase.hpp"
-#include "linalg/svd.hpp"
 #include "shh/symplectic.hpp"
 
 namespace shhpass::core {
@@ -14,7 +13,7 @@ using linalg::Matrix;
 
 namespace {
 
-// Shared tail of both paths: given the split bases (U = [R K] orthogonal,
+// Tail of the removal: given the split bases (U = [R K] orthogonal,
 // U^T E1 U = diag(E11, 0)), run the A22 impulse-freeness certificate, the
 // Schur-complement strong equivalence (Eq. 19), and the -J restoration
 // (Eq. 20). `a22Rank` must already be the recorded rank decision on A22
@@ -59,7 +58,9 @@ void finishRemoval(NondynamicRemovalResult& out,
   out.shh.d = d2;
 }
 
-NondynamicRemovalResult removeNondynamicModesStaircase(
+}  // namespace
+
+NondynamicRemovalResult removeNondynamicModes(
     const shh::SkewSymRealization& s1, double rankTol) {
   NondynamicRemovalResult out;
   const std::size_t n = s1.order();
@@ -82,7 +83,7 @@ NondynamicRemovalResult removeNondynamicModesStaircase(
     // to eliminate — stay in identity coordinates (U = I is as valid an
     // orthogonal split as the computed basis) and skip every gemm.
     ++sr.truncatedSteps;
-    Matrix empty0(n, 0), emptyC(s1.c.rows(), 0), empty22(0, 0);
+    Matrix emptyC(s1.c.rows(), 0), empty22(0, 0);
     finishRemoval(out, s1, s1.e, s1.a, Matrix(n, 0), empty22, s1.c, emptyC,
                   0);
     return out;
@@ -118,54 +119,6 @@ NondynamicRemovalResult removeNondynamicModesStaircase(
   ++sr.chainLength;
 
   finishRemoval(out, s1, e11, a11, a12, a22, c1, c2, ca22.rank);
-  return out;
-}
-
-}  // namespace
-
-NondynamicRemovalResult removeNondynamicModes(
-    const shh::SkewSymRealization& s1, double rankTol, DeflationPath path) {
-  if (resolveDeflationPath(path, s1.order()) == DeflationPath::Staircase)
-    return removeNondynamicModesStaircase(s1, rankTol);
-
-  NondynamicRemovalResult out;
-  const std::size_t n = s1.order();
-
-  // U = [R K]: columns of R span Im(E1), columns of K span Ker(E1). For a
-  // skew-symmetric E1 these are orthogonal complements, so U is orthogonal
-  // and U^T E1 U = diag(E11, 0) with E11 skew nonsingular (rank of a skew
-  // matrix is even).
-  linalg::SVD esvd(s1.e);
-  const std::size_t r = esvd.rank(rankTol, &out.rankReport);
-  Matrix rBasis = esvd.range(rankTol);
-  // For skew-symmetric E1, Ker(E1) = Ker(E1^T), so the left nullspace from
-  // the same U factor is an exactly orthonormal completion of the range.
-  Matrix kBasis = esvd.leftNullspace(rankTol);
-
-  Matrix e11 = linalg::multiply(linalg::atb(rBasis, s1.e), false, rBasis,
-                                false);
-  linalg::skewSymmetrize(e11);
-  Matrix a11 = linalg::multiply(linalg::atb(rBasis, s1.a), false, rBasis,
-                                false);
-  Matrix a12 = linalg::multiply(linalg::atb(rBasis, s1.a), false, kBasis,
-                                false);
-  Matrix a22 = linalg::multiply(linalg::atb(kBasis, s1.a), false, kBasis,
-                                false);
-  linalg::symmetrize(a11);
-  linalg::symmetrize(a22);
-  Matrix c1 = s1.c * rBasis;
-  Matrix c2 = s1.c * kBasis;
-  out.removed = n - r;
-
-  // Impulse-freeness at this stage == A22 nonsingular (Sec. 2.5 item 5,
-  // specialized to the already-deflated pencil). Empty A22 is trivially
-  // nonsingular.
-  std::size_t a22Rank = 0;
-  if (out.removed > 0) {
-    linalg::SVD asvd(a22);
-    a22Rank = asvd.rank(rankTol, &out.rankReport);
-  }
-  finishRemoval(out, s1, e11, a11, a12, a22, c1, c2, a22Rank);
   return out;
 }
 

@@ -11,15 +11,13 @@
 // invertibility check here certifies leftover (observable/controllable)
 // impulsive modes, hence a non-passive G.
 //
-// Two implementations (core/deflation_path.hpp): the staircase path gets
-// the E1 range/kernel split from the skew-tridiagonal compression kernel
-// (one BLAS-3 Hessenberg + a half-size bidiagonal sweep instead of a
-// full-size SVD) and truncates to identity coordinates when E1 is
-// numerically nonsingular; the legacy SVD chain is kept below the
-// crossover and as the equivalence oracle.
+// The E1 range/kernel split comes from the skew-tridiagonal compression
+// kernel (one BLAS-3 Hessenberg + a half-size bidiagonal sweep instead of
+// a full-size SVD), and the chain truncates to identity coordinates when
+// E1 is numerically nonsingular. The historical full-SVD chain lives on as
+// the test oracle (tests/deflation_oracle.hpp).
 #pragma once
 
-#include "core/deflation_path.hpp"
 #include "linalg/staircase.hpp"
 #include "linalg/svd.hpp"
 #include "shh/shh_pencil.hpp"
@@ -37,16 +35,13 @@ struct NondynamicRemovalResult {
   /// Health of the SVD rank decisions taken (shared policy, svd.hpp):
   /// the E1 rank split and the A22 impulse-freeness certificate.
   linalg::RankReport rankReport;
-  /// Staircase-path health; all-zero when the legacy SVD chain ran.
+  /// Staircase health (kernel mix, fallbacks, chain truncation).
   linalg::StaircaseReport staircase;
 };
 
 /// Eliminate nondynamic modes and restore SHH structure. `rankTol` controls
-/// the rank decisions on E1 and A22 (negative = SVD default). `path`
-/// selects the staircase vs legacy implementation; Auto dispatches on
-/// s1.order().
+/// the rank decisions on E1 and A22 (negative = SVD default).
 NondynamicRemovalResult removeNondynamicModes(
-    const shh::SkewSymRealization& s1, double rankTol = -1.0,
-    DeflationPath path = DeflationPath::Auto);
+    const shh::SkewSymRealization& s1, double rankTol = -1.0);
 
 }  // namespace shhpass::core

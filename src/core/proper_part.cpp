@@ -1,11 +1,9 @@
 #include "core/proper_part.hpp"
 
-#include <future>
 #include <limits>
 #include <stdexcept>
 #include <vector>
 
-#include "api/thread_pool.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/svd.hpp"
@@ -18,8 +16,7 @@ namespace shhpass::core {
 using linalg::Matrix;
 
 ProperPartResult extractProperPart(const shh::ShhRealization& s3,
-                                   double imagTol, double rankTol,
-                                   api::ThreadPool* pool) {
+                                   double imagTol, double rankTol) {
   ProperPartResult out;
   const std::size_t n2 = s3.order();
   const std::size_t m = s3.ports();
@@ -71,43 +68,7 @@ ProperPartResult extractProperPart(const shh::ShhRealization& s3,
   // 2np x 2np block-triangular K for the same certificate, at 4x the
   // cost and with the bases discarded). singularValues() skips the
   // U/V accumulation entirely.
-  //
-  // The certificate reads only `ebar`, which is final here, so with a
-  // pool it overlaps the A4 assembly and the decoupling below; the join
-  // before the rank merge keeps the merge point (and so the rankReport
-  // contents) identical to the inline path.
-  const bool overlap = pool != nullptr && pool->size() >= 2;
-  std::future<std::vector<double>> esvFuture;
-  std::vector<double> esv;
-  if (overlap) {
-    std::shared_ptr<std::promise<std::vector<double>>> esvDone =
-        std::make_shared<std::promise<std::vector<double>>>();
-    esvFuture = esvDone->get_future();
-    // Capture ebar BY VALUE: if the decoupling below throws, this frame
-    // unwinds while the task may still be queued — it must not reference
-    // stack locals (the np x np copy is noise next to the SVD).
-    pool->submit([ebarCopy = ebar, esvDone] {
-      try {
-        esvDone->set_value(linalg::singularValues(ebarCopy));
-      } catch (...) {
-        esvDone->set_exception(std::current_exception());
-      }
-    });
-  } else {
-    esv = linalg::singularValues(ebar);
-  }
-
-  // A4 = Z_L A3 Z_R is Hamiltonian; C4 = C3 Z_R; B4 = J C4^T automatically.
-  out.a4 = zl * s3.a * zr;
-  Matrix c4 = s3.c * zr;
-
-  // (Eqs. 22-23) Split the Hamiltonian spectrum and decouple.
-  shh::HamiltonianDecoupling dec =
-      shh::decoupleHamiltonian(out.a4, imagTol, pool);
-  out.reorder = dec.reorder;
-  out.schur = dec.schur;
-
-  if (overlap) esv = esvFuture.get();
+  const std::vector<double> esv = linalg::singularValues(ebar);
   const double esmin = esv.empty() ? 0.0 : esv.back();
   out.condNormalizer =
       esv.empty() ? 1.0
@@ -115,6 +76,16 @@ ProperPartResult extractProperPart(const shh::ShhRealization& s3,
                                   : esv.front() / esmin);
   linalg::rankFromSingularValues(esv, ebar.rows(), ebar.cols(), rankTol,
                                  &out.rankReport);
+
+  // A4 = Z_L A3 Z_R is Hamiltonian; C4 = C3 Z_R; B4 = J C4^T automatically.
+  out.a4 = zl * s3.a * zr;
+  Matrix c4 = s3.c * zr;
+
+  // (Eqs. 22-23) Split the Hamiltonian spectrum and decouple.
+  shh::HamiltonianDecoupling dec =
+      shh::decoupleHamiltonian(out.a4, imagTol);
+  out.reorder = dec.reorder;
+  out.schur = dec.schur;
 
   if (!dec.ok) return out;  // imaginary-axis eigenvalues: cannot split
 

@@ -18,10 +18,6 @@
 #include "linalg/svd.hpp"
 #include "shh/shh_pencil.hpp"
 
-namespace shhpass::api {
-class ThreadPool;
-}
-
 namespace shhpass::core {
 
 /// The extracted stable proper half of Phi.
@@ -56,20 +52,8 @@ struct ProperPartResult {
 /// numerically singular (pipeline invariant violated upstream). `rankTol`
 /// feeds the shared-policy rank decision on the normalizer (negative =
 /// SVD default), matching the tolerance the deflation stages used.
-///
-/// `pool` (optional, >= 2 workers; the stage-graph runner passes the
-/// analysis pool) overlaps independent internal work on borrowed
-/// workers: the sigma(Ebar) conditioning/rank certificate runs
-/// concurrently with the Z_L/Z_R assembly and the Hamiltonian
-/// decoupling, and the decoupling overlaps its two final transform
-/// products. Null (the default, and the sequential pipeline) runs
-/// everything inline. The result is bit-identical either way: the
-/// overlapped computations share no operands-in-progress, each kernel is
-/// deterministic for every thread count, and the rank merge into
-/// `rankReport` happens at a fixed join point on the calling thread.
 ProperPartResult extractProperPart(const shh::ShhRealization& s3,
                                    double imagTol = 1e-8,
-                                   double rankTol = -1.0,
-                                   api::ThreadPool* pool = nullptr);
+                                   double rankTol = -1.0);
 
 }  // namespace shhpass::core

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "linalg/blas.hpp"
 #include "linalg/lu.hpp"
@@ -11,6 +12,19 @@
 namespace shhpass::ds {
 
 using linalg::Matrix;
+
+namespace {
+
+void requireFinite(const Matrix& m, const char* label) {
+  for (std::size_t i = 0; i < m.rows(); ++i)
+    for (std::size_t j = 0; j < m.cols(); ++j)
+      if (!std::isfinite(m(i, j)))
+        throw std::invalid_argument(
+            std::string("DescriptorSystem: non-finite entry ") + label + "(" +
+            std::to_string(i) + ", " + std::to_string(j) + ")");
+}
+
+}  // namespace
 
 void DescriptorSystem::validate() const {
   const std::size_t n = a.rows();
@@ -22,6 +36,11 @@ void DescriptorSystem::validate() const {
     throw std::invalid_argument("DescriptorSystem: C column count != n");
   if (d.rows() != c.rows() || d.cols() != b.cols())
     throw std::invalid_argument("DescriptorSystem: D shape mismatch");
+  requireFinite(e, "E");
+  requireFinite(a, "A");
+  requireFinite(b, "B");
+  requireFinite(c, "C");
+  requireFinite(d, "D");
 }
 
 TransferValue evalTransfer(const DescriptorSystem& sys, double sRe,

@@ -25,7 +25,9 @@ struct DescriptorSystem {
   /// u^T y is the instantaneous power injected into the system.
   bool isSquareSystem() const { return numInputs() == numOutputs(); }
 
-  /// Throws std::invalid_argument if the block dimensions are inconsistent.
+  /// Throws std::invalid_argument if the block dimensions are inconsistent
+  /// or any entry of E, A, B, C, D is NaN or infinite (the message names
+  /// the matrix and the (i, j) entry).
   void validate() const;
 };
 

@@ -141,7 +141,7 @@ void setGemmThreads(std::size_t t);
 /// setting applies unchanged).
 std::size_t gemmThreadBudget();
 
-/// RAII per-call kernel-thread budget — the level-2 scheduler's plumbing
+/// RAII per-call kernel-thread budget — the batch scheduler's plumbing
 /// for per-shard thread budgeting (api/scheduler.hpp). While a scope with
 /// budget b > 0 is active on a thread, every gemm() issued FROM THAT
 /// THREAD fans out to at most min(b, setGemmThreads width) workers;
@@ -151,8 +151,8 @@ std::size_t gemmThreadBudget();
 /// is restored on destruction.
 ///
 /// The budget is thread-local, so it does NOT propagate into tasks the
-/// scoped thread submits to a ThreadPool — consumers that fan work out
-/// (the stage-graph runner) re-establish the budget inside each task.
+/// scoped thread submits to a ThreadPool — a consumer that fans work out
+/// must re-establish the budget inside each task.
 /// By the gemm determinism contract the budget can never change results,
 /// only scheduling; tests/test_scheduler_random.cpp pins this bitwise.
 class GemmThreadBudgetScope {

@@ -53,14 +53,6 @@
 
 namespace shhpass::linalg {
 
-/// Smallest pencil order for which the deflation chains dispatch to the
-/// staircase path. Below it the legacy SVD-chain implementations run (same
-/// kernel sequence as the pre-staircase library, plus the "twice is
-/// enough" re-orthogonalization bugfix), which keeps the golden-set
-/// decision path on the historical kernels; the retained chains also
-/// serve as the equivalence oracle for the seeded staircase suite.
-inline constexpr std::size_t kStaircaseCrossover = 256;
-
 /// Which compression kernel ran (or, in options, is requested).
 enum class CompressionKernel { Auto, Svd, Diagonal, QrSvd, SkewTridiagonal };
 
@@ -74,7 +66,7 @@ struct StaircaseReport {
   std::size_t skewTridiagonalizations = 0;  ///< ... by the skew kernel.
   std::size_t reusedCompressions = 0; ///< Consumers served by a compression
                                       ///< computed earlier in the chain
-                                      ///< (the legacy chains recompute).
+                                      ///< (the full-SVD oracle recomputes).
   std::size_t chainLength = 0;        ///< Staircase steps executed.
   std::size_t truncatedSteps = 0;     ///< Steps skipped because the
                                       ///< deflation subspace stabilized.

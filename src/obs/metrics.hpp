@@ -37,9 +37,7 @@ enum class Counter : std::size_t {
   AnalysesCompleted,        ///< Report produced (passive or verdict).
   AnalysesFailed,           ///< Operational error (no report).
   AnalysesNotPassive,       ///< Completed with a NOT-PASSIVE verdict.
-  StagesExecuted,           ///< Pipeline stage runs (incl. speculative).
-  StagesDiscarded,          ///< Speculative runGraph stages never committed.
-  StageGraphRuns,           ///< Analyses through Pipeline::runGraph.
+  StagesExecuted,           ///< Pipeline stage runs.
   BatchItems,               ///< Items executed by the shard scheduler.
   ShardsRun,                ///< Shards executed by the shard scheduler.
   ShardSteals,              ///< Shards run by a non-home worker.

@@ -114,8 +114,8 @@ std::uint32_t currentThreadTid() {
 }
 
 void emitSpan(std::string_view name, const char* cat, std::uint64_t startNs,
-              std::uint64_t endNs, std::uint32_t tid, bool discarded,
-              const char* argName, std::int64_t argValue) {
+              std::uint64_t endNs, std::uint32_t tid, const char* argName,
+              std::int64_t argValue) {
   if (!traceEnabled()) return;
   TraceEvent e;
   copyName(e.name, name);
@@ -123,7 +123,6 @@ void emitSpan(std::string_view name, const char* cat, std::uint64_t startNs,
   e.startNs = startNs;
   e.durNs = endNs >= startNs ? endNs - startNs : 0;
   e.tid = tid;
-  e.discarded = discarded;
   e.argName = argName;
   e.argValue = argValue;
   appendEvent(e);
@@ -201,22 +200,12 @@ std::string traceJson() {
                   static_cast<double>(e.startNs) * 1e-3,
                   static_cast<double>(e.durNs) * 1e-3, e.tid);
     out += num;
-    if (e.argName != nullptr || e.discarded) {
-      out += ",\"args\":{";
-      bool argFirst = true;
-      if (e.argName != nullptr) {
-        out += "\"";
-        appendJsonEscaped(out, e.argName);
-        std::snprintf(num, sizeof(num), "\":%lld",
-                      static_cast<long long>(e.argValue));
-        out += num;
-        argFirst = false;
-      }
-      if (e.discarded) {
-        if (!argFirst) out.push_back(',');
-        out += "\"discarded\":true";
-      }
-      out.push_back('}');
+    if (e.argName != nullptr) {
+      out += ",\"args\":{\"";
+      appendJsonEscaped(out, e.argName);
+      std::snprintf(num, sizeof(num), "\":%lld}",
+                    static_cast<long long>(e.argValue));
+      out += num;
     }
     out.push_back('}');
   }

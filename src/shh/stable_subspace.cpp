@@ -1,8 +1,5 @@
 #include "shh/stable_subspace.hpp"
 
-#include <future>
-
-#include "api/thread_pool.hpp"
 #include "control/hamiltonian.hpp"
 #include "control/lyapunov.hpp"
 #include "linalg/blas.hpp"
@@ -12,8 +9,7 @@ namespace shhpass::shh {
 
 using linalg::Matrix;
 
-HamiltonianDecoupling decoupleHamiltonian(const Matrix& h, double imagTol,
-                                          api::ThreadPool* pool) {
+HamiltonianDecoupling decoupleHamiltonian(const Matrix& h, double imagTol) {
   HamiltonianDecoupling out;
   control::StableSubspace ss = control::stableInvariantSubspace(h, imagTol);
   out.reorder = ss.reorder;
@@ -53,32 +49,8 @@ HamiltonianDecoupling decoupleHamiltonian(const Matrix& h, double imagTol,
   s.setBlock(0, np, out.y);
   Matrix sInv = Matrix::identity(2 * np);
   sInv.setBlock(0, np, -1.0 * out.y);
-  if (pool != nullptr && pool->size() >= 2) {
-    // The two transform products are independent; overlap one on a
-    // borrowed worker. Each gemm is bit-deterministic for every thread
-    // count, so the overlap cannot change the result. The future join
-    // makes every write to z2inv happen-before the read below.
-    std::promise<Matrix> z2invDone;
-    std::future<Matrix> z2invFuture = z2invDone.get_future();
-    pool->submit([&sInv, &z1, &z2invDone] {
-      try {
-        z2invDone.set_value(linalg::multiply(sInv, false, z1, true));
-      } catch (...) {
-        z2invDone.set_exception(std::current_exception());
-      }
-    });
-    try {
-      out.z2 = z1 * s;
-    } catch (...) {
-      // The task references stack locals; never unwind past it.
-      z2invFuture.wait();
-      throw;
-    }
-    out.z2inv = z2invFuture.get();
-  } else {
-    out.z2 = z1 * s;
-    out.z2inv = linalg::multiply(sInv, false, z1, true);
-  }
+  out.z2 = z1 * s;
+  out.z2inv = linalg::multiply(sInv, false, z1, true);
   out.ok = true;
   return out;
 }

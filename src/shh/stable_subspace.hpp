@@ -8,10 +8,6 @@
 #include "linalg/schur_multishift.hpp"
 #include "linalg/schur_reorder.hpp"
 
-namespace shhpass::api {
-class ThreadPool;
-}
-
 namespace shhpass::shh {
 
 /// Result of the Hamiltonian stable/antistable decoupling.
@@ -31,14 +27,7 @@ struct HamiltonianDecoupling {
 
 /// Decouple a Hamiltonian matrix H (2np x 2np). `imagTol` is passed to the
 /// stable-invariant-subspace computation.
-///
-/// `pool` (optional, >= 2 workers) overlaps the two independent final
-/// transform products (Z2 = Z1 S and Z2inv = S^{-1} Z1^T) on one borrowed
-/// worker; null runs them inline. By the gemm determinism contract the
-/// overlap is bit-identical to the inline path — both products are
-/// computed by the same kernels on the same operands, only concurrently.
 HamiltonianDecoupling decoupleHamiltonian(const linalg::Matrix& h,
-                                          double imagTol = 1e-8,
-                                          api::ThreadPool* pool = nullptr);
+                                          double imagTol = 1e-8);
 
 }  // namespace shhpass::shh

@@ -1,9 +1,11 @@
 // Stage-by-stage tests of the proposed pipeline: deflation (Eqs. 11-17),
 // nondynamic removal (Eqs. 18-20), proper-part extraction (Eqs. 21-23),
 // and M1 extraction (Eqs. 24-25). Each stage is checked for structure
-// preservation AND transfer-function preservation.
+// preservation AND transfer-function preservation, and the deflation
+// stages against the full-SVD chain oracle (deflation_oracle.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "circuits/generators.hpp"
@@ -13,6 +15,7 @@
 #include "core/phi_builder.hpp"
 #include "core/proper_part.hpp"
 #include "control/hamiltonian.hpp"
+#include "deflation_oracle.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/schur.hpp"
 #include "linalg/svd.hpp"
@@ -83,7 +86,7 @@ TEST(Stage1Deflation, JDualityOfSubspaces) {
   // w = J v satisfies E^T w = 0, A^T w in Im E^T, B^T w = 0.
   ds::DescriptorSystem g = impulsiveLadder(2);
   shh::ShhRealization phi = buildPhi(g);
-  Matrix vo = impulseUnobservableSubspace(phi);
+  Matrix vo = deflateImpulseModes(phi).impulseUnobservable;
   ASSERT_GT(vo.cols(), 0u);
   Matrix jv = shh::applyJ(vo);
   EXPECT_LT(linalg::multiply(phi.e, true, jv, false).maxAbs(), 1e-9);
@@ -92,6 +95,23 @@ TEST(Stage1Deflation, JDualityOfSubspaces) {
   Matrix atJv = linalg::multiply(phi.a, true, jv, false);
   Matrix kerE = linalg::kernel(phi.e);
   EXPECT_LT(linalg::atb(kerE, atJv).maxAbs(), 1e-8);
+}
+
+TEST(Stage1Deflation, SubspaceMatchesSvdChainOracle) {
+  // The staircase V_o and the oracle's two-SVD V_o span the same
+  // subspace: equal dimension and mutual projections reproduce each
+  // basis.
+  for (std::size_t sections : {2u, 4u}) {
+    shh::ShhRealization phi = buildPhi(impulsiveLadder(sections));
+    ImpulseDeflationResult r = deflateImpulseModes(phi);
+    Matrix ref = oracle::impulseUnobservableSubspace(phi);
+    ASSERT_EQ(r.impulseUnobservable.cols(), ref.cols()) << sections;
+    ASSERT_GT(ref.cols(), 0u);
+    const Matrix& vo = r.impulseUnobservable;
+    expectMatrixNear(ref * linalg::atb(ref, vo), vo, 1e-9);
+    expectMatrixNear(vo * linalg::atb(vo, ref), ref, 1e-9);
+    EXPECT_EQ(r.removed, oracle::deflateImpulseModes(phi).removed);
+  }
 }
 
 TEST(Stage2Nondynamic, ImpulseFreeLadderPasses) {
@@ -141,6 +161,25 @@ TEST(Stage2Nondynamic, DetectsResidualImpulses) {
   ImpulseDeflationResult s1 = deflateImpulseModes(phi);
   NondynamicRemovalResult s2 = removeNondynamicModes(s1.reduced);
   EXPECT_FALSE(s2.impulseFree);
+}
+
+TEST(Stage2Nondynamic, MatchesSvdChainOracle) {
+  // Same removal count, impulse-freeness verdict and transfer function
+  // as the full-SVD chain, on both an impulse-free and an impulsive
+  // ladder.
+  for (bool impulsive : {false, true}) {
+    shh::ShhRealization phi =
+        buildPhi(impulsive ? impulsiveLadder(3) : impulseFreeLadder(3));
+    ImpulseDeflationResult s1 = deflateImpulseModes(phi);
+    NondynamicRemovalResult s2 = removeNondynamicModes(s1.reduced);
+    NondynamicRemovalResult ref = oracle::removeNondynamicModes(s1.reduced);
+    EXPECT_EQ(s2.removed, ref.removed) << impulsive;
+    ASSERT_EQ(s2.impulseFree, ref.impulseFree) << impulsive;
+    ASSERT_TRUE(s2.impulseFree);
+    for (double w : {0.7, 10.0})
+      expectSameTransferAt(s2.shh.toDescriptor(), ref.shh.toDescriptor(), w,
+                           1e-6 * (1.0 + w));
+  }
 }
 
 TEST(Stage3ProperPart, LadderProperPartMatchesPhi) {
@@ -223,6 +262,20 @@ TEST(M1ExtractionTest, IndefiniteM1Detected) {
   EXPECT_FALSE(m1.psd);
   EXPECT_NEAR(m1.m1(0, 0), 1.0, 1e-10);
   EXPECT_NEAR(m1.m1(1, 1), -1.0, 1e-10);
+}
+
+TEST(M1ExtractionTest, MatchesSvdChainOracle) {
+  const ds::DescriptorSystem models[] = {
+      impulseFreeLadder(3), impulsiveLadder(3),
+      circuits::makeNonPassiveIndefiniteM1()};
+  for (const ds::DescriptorSystem& g : models) {
+    M1Extraction m1 = extractM1(g);
+    M1Extraction ref = oracle::extractM1(g);
+    EXPECT_EQ(m1.chainCount, ref.chainCount);
+    EXPECT_EQ(m1.symmetric, ref.symmetric);
+    EXPECT_EQ(m1.psd, ref.psd);
+    expectMatrixNear(m1.m1, ref.m1, 1e-9 * std::max(1.0, ref.m1.maxAbs()));
+  }
 }
 
 TEST(HigherOrderCheck, DetectsGrade3Chains) {

@@ -2,8 +2,7 @@
 // per-thread monotonicity, metrics-counter exactness under the
 // work-stealing batch scheduler, bit-parity of decisions with telemetry
 // on vs off (the observation-only contract), exposition-format sanity,
-// memory accounting, and the discarded-speculative-stage accounting of
-// Pipeline::runGraph.
+// and memory accounting.
 //
 // Telemetry state is process-wide; every test begins by forcing the
 // flags it needs and resetting the registries (gtest runs tests
@@ -170,23 +169,16 @@ TEST(ObsMetrics, CountersAreExactUnderWorkStealingScheduler) {
     telemetryAllOn();
     AnalyzerOptions opts;
     opts.threads = workers;
-    // NOTE: stageGraph left at its default so the test also exercises
-    // the graph path when SHHPASS_STAGE_GRAPH forces it (tsan preset).
     PassivityAnalyzer analyzer(opts);
     std::vector<Result<AnalysisReport>> results = analyzer.runBatch(reqs);
     ASSERT_EQ(results.size(), reqs.size());
     for (const auto& r : results) ASSERT_TRUE(r.ok());
 
     // Expected stage totals come from the reports themselves: the trace
-    // list accounts for every executed stage node (canonical entries
-    // plus the explicitly-marked discarded speculative ones), so the
-    // counters must match it exactly — that is the exactness claim.
-    std::uint64_t expectStages = 0, expectDiscarded = 0;
-    for (const auto& r : results) {
-      expectStages += r->stages.size();
-      for (const api::StageTrace& t : r->stages)
-        if (t.discarded) ++expectDiscarded;
-    }
+    // list accounts for every executed stage, so the counter must match
+    // it exactly — that is the exactness claim.
+    std::uint64_t expectStages = 0;
+    for (const auto& r : results) expectStages += r->stages.size();
 
     using obs::Counter;
     EXPECT_EQ(obs::counterValue(Counter::AnalysesStarted), reqs.size())
@@ -197,7 +189,6 @@ TEST(ObsMetrics, CountersAreExactUnderWorkStealingScheduler) {
     EXPECT_EQ(obs::counterValue(Counter::BatchItems), reqs.size());
     EXPECT_EQ(obs::counterValue(Counter::StagesExecuted), expectStages)
         << "workers=" << workers;
-    EXPECT_EQ(obs::counterValue(Counter::StagesDiscarded), expectDiscarded);
     EXPECT_EQ(obs::gaugeValue(obs::Gauge::AnalysesInFlight), 0);
 
     // Scheduler counters agree with the scheduler's own report.
@@ -309,7 +300,7 @@ TEST(ObsMemory, StageTracesCarryPeakBytes) {
 TEST(ObsParity, TelemetryNeverChangesDecisions) {
   const std::vector<AnalysisRequest> reqs = goldenBatch();
 
-  // Reference: telemetry hard-off, sequential stages, single worker.
+  // Reference: telemetry hard-off, single-shot analyze() calls.
   telemetryAllOff();
   PassivityAnalyzer ref;
   std::vector<Result<AnalysisReport>> baseline;
@@ -317,96 +308,19 @@ TEST(ObsParity, TelemetryNeverChangesDecisions) {
   for (const auto& r : baseline) ASSERT_TRUE(r.ok());
 
   for (std::size_t workers : {1u, 2u, 7u}) {
-    for (bool stageGraph : {false, true}) {
-      telemetryAllOn();
-      AnalyzerOptions opts;
-      opts.threads = workers;
-      opts.stageGraph = stageGraph;
-      PassivityAnalyzer analyzer(opts);
-      std::vector<Result<AnalysisReport>> results = analyzer.runBatch(reqs);
-      ASSERT_EQ(results.size(), baseline.size());
-      for (std::size_t i = 0; i < results.size(); ++i) {
-        ASSERT_TRUE(results[i].ok());
-        EXPECT_TRUE(results[i]->decisionEquals(baseline[i].value()))
-            << "telemetry-on decision drift: item " << reqs[i].id
-            << " workers=" << workers << " stageGraph=" << stageGraph;
-      }
+    telemetryAllOn();
+    AnalyzerOptions opts;
+    opts.threads = workers;
+    PassivityAnalyzer analyzer(opts);
+    std::vector<Result<AnalysisReport>> results = analyzer.runBatch(reqs);
+    ASSERT_EQ(results.size(), baseline.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      ASSERT_TRUE(results[i].ok());
+      EXPECT_TRUE(results[i]->decisionEquals(baseline[i].value()))
+          << "telemetry-on decision drift: item " << reqs[i].id
+          << " workers=" << workers;
     }
   }
-  telemetryAllOff();
-}
-
-// --------------------------- discarded speculative stages (runGraph)
-
-TEST(ObsDiscarded, FailingGraphRunAccountsForEveryExecutedNode) {
-  telemetryAllOn();
-
-  // Oracle: m1-extraction (stage 5 of 7) raises the M1NotPsd verdict,
-  // so the canonical (non-discarded) trace list has 5 entries — whether
-  // the reference ran sequentially or the environment forced the graph
-  // path (tsan preset), since discarded entries are appended after the
-  // canonical prefix.
-  PassivityAnalyzer seq;
-  const ds::DescriptorSystem g = circuits::makeNonPassiveIndefiniteM1();
-  Result<AnalysisReport> sref = seq.analyze(g);
-  ASSERT_TRUE(sref.ok());
-  std::size_t srefCanonical = 0;
-  for (const api::StageTrace& t : sref->stages)
-    if (!t.discarded) ++srefCanonical;
-  ASSERT_EQ(srefCanonical, 5u);
-
-  obs::resetMetrics();
-  AnalyzerOptions opts;
-  opts.stageGraph = true;
-  opts.stageGraphThreads = 2;
-  PassivityAnalyzer analyzer(opts);
-  Result<AnalysisReport> r = analyzer.analyze(g);
-  ASSERT_TRUE(r.ok()) << r.status().toString();
-  const AnalysisReport& rep = r.value();
-  EXPECT_FALSE(rep.passive);
-  EXPECT_EQ(rep.verdict, api::ErrorCode::M1NotPsd);
-  ASSERT_TRUE(rep.scheduler.stageGraph);
-
-  // Every node the graph executed is accounted for: canonical traces up
-  // to the cutoff plus explicitly-marked discarded traces for the
-  // speculative stages (proper-part and pr-test run concurrently with
-  // the failing m1-extraction branch and are computed-then-discarded).
-  EXPECT_EQ(rep.stages.size(), rep.scheduler.stageGraphExecuted);
-  std::size_t canonical = 0, discarded = 0;
-  for (const api::StageTrace& t : rep.stages) {
-    if (t.discarded) {
-      ++discarded;
-      EXPECT_TRUE(t.name == "proper-part" || t.name == "pr-test")
-          << "unexpected discarded stage: " << t.name;
-    } else {
-      ++canonical;
-    }
-  }
-  EXPECT_EQ(canonical, 5u);
-  EXPECT_EQ(discarded, rep.scheduler.stageGraphExecuted - 5u);
-  EXPECT_GT(discarded, 0u);
-  // Discarded entries come after the whole canonical prefix.
-  for (std::size_t i = 0; i < 5u; ++i)
-    EXPECT_FALSE(rep.stages[i].discarded);
-  // The canonical prefix is the sequential trace list.
-  for (std::size_t i = 0; i < 5u; ++i) {
-    EXPECT_EQ(rep.stages[i].name, sref->stages[i].name);
-    EXPECT_EQ(rep.stages[i].status.code(), sref->stages[i].status.code());
-  }
-  // decisionEquals ignores the discarded tail entirely.
-  EXPECT_TRUE(rep.decisionEquals(sref.value()));
-  EXPECT_FALSE(sref->decisionEquals(AnalysisReport{}));
-
-  // Metrics agree: the discarded counter saw exactly those stages.
-  EXPECT_EQ(obs::counterValue(obs::Counter::StagesDiscarded), discarded);
-
-  // The report JSON marks them.
-  const std::string json = rep.toJson();
-  EXPECT_NE(json.find("\"discarded\":true"), std::string::npos);
-
-  // Discarded spans are marked in the trace JSON too.
-  const std::string trace = obs::traceJson();
-  EXPECT_NE(trace.find("\"discarded\":true"), std::string::npos);
   telemetryAllOff();
 }
 

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
+#include "api/analyzer.hpp"
 #include "circuits/generators.hpp"
 #include "circuits/mna.hpp"
 #include "core/passivity_test.hpp"
@@ -169,6 +172,51 @@ TEST(Robustness, NearlyPassiveBoundaryCases) {
     // Re G(j inf) = -eps < 0: non-passive at any resolvable eps.
     EXPECT_FALSE(core::testPassivityShh(g).passive) << eps;
   }
+}
+
+// Non-finite input screening: a NaN or Inf anywhere in E, A, B, C or D is
+// a typed INVALID_ARGUMENT naming the matrix and the entry, never a
+// verdict or a numerical failure further down the pipeline.
+void expectRejectedNonFinite(Matrix ds::DescriptorSystem::*member,
+                             const char* label, std::size_t i, std::size_t j,
+                             double bad) {
+  ds::DescriptorSystem g = circuits::makeBenchmarkModel(25, true);
+  (g.*member)(i, j) = bad;
+  EXPECT_THROW(g.validate(), std::invalid_argument) << label;
+  const api::PassivityAnalyzer analyzer;
+  api::Result<api::AnalysisReport> r = analyzer.analyze(g);
+  ASSERT_FALSE(r.ok()) << label;
+  EXPECT_EQ(r.status().code(), api::ErrorCode::InvalidArgument)
+      << label << ": " << r.status().toString();
+  const std::string where = std::string(label) + "(" + std::to_string(i) +
+                            ", " + std::to_string(j) + ")";
+  EXPECT_NE(r.status().message().find(where), std::string::npos)
+      << r.status().message();
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(RobustnessNonFinite, NaNInERejected) {
+  expectRejectedNonFinite(&ds::DescriptorSystem::e, "E", 3, 3, kNaN);
+}
+
+TEST(RobustnessNonFinite, NaNAndInfInARejected) {
+  expectRejectedNonFinite(&ds::DescriptorSystem::a, "A", 0, 1, kNaN);
+  expectRejectedNonFinite(&ds::DescriptorSystem::a, "A", 5, 2, kInf);
+}
+
+TEST(RobustnessNonFinite, InfInBRejected) {
+  expectRejectedNonFinite(&ds::DescriptorSystem::b, "B", 0, 0, kInf);
+}
+
+TEST(RobustnessNonFinite, NaNInCRejected) {
+  expectRejectedNonFinite(&ds::DescriptorSystem::c, "C", 0, 7, kNaN);
+}
+
+TEST(RobustnessNonFinite, NaNInDRejected) {
+  expectRejectedNonFinite(&ds::DescriptorSystem::d, "D", 0, 0, kNaN);
+  expectRejectedNonFinite(&ds::DescriptorSystem::d, "D", 0, 0, -kInf);
 }
 
 }  // namespace

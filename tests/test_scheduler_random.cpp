@@ -1,19 +1,18 @@
-// Determinism-first harness for the two-level batch scheduler
-// (api/scheduler.hpp + AnalyzerOptions::stageGraph). The library-wide
+// Determinism-first harness for the batch shard scheduler
+// (api/scheduler.hpp). The library-wide
 // contract under test: scheduling NEVER changes decisions. A seeded
 // mixed-order batch (passive, non-passive, and error-returning models
 // interleaved) must produce bitwise decision-equal reports for every
-// worker count, under 4x oversubscription, under forced steal-heavy
-// skew, and through the level-1 stage graph — with report ordering
+// worker count, under 4x oversubscription, and under forced steal-heavy
+// skew — with report ordering
 // pinned to request order regardless of steal order. The suite also pins
 // the deterministic structure of the shard plan (large-order items get
 // singleton shards with kernel budgets, small items share budget-1
 // shards) and the SchedulerReport counter semantics.
 //
 // Like test_thread_pool_stress.cpp, every test doubles as a TSan target
-// (the `tsan` CI job runs this suite with SHHPASS_GEMM_THREADS=3 and
-// SHHPASS_STAGE_GRAPH=1, so kernel pool x batch crew x stage graph all
-// engage at once).
+// (the `tsan` CI job runs this suite with SHHPASS_GEMM_THREADS=3, so the
+// kernel pool and the batch crew engage at once).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -262,23 +261,6 @@ TEST(SchedulerRandom, ParityUnderStealHeavySkew) {
   for (std::size_t i = 0; i < results.size(); ++i)
     if (results[i].ok())
       EXPECT_EQ(results[i]->id, batch[i].id) << "slot " << i;
-}
-
-TEST(SchedulerRandom, ParityWithStageGraphOnBothLevels) {
-  // Level 1 x level 2 together: stage graphs inside analyses scheduled
-  // by the stealing crew across analyses.
-  const std::vector<AnalysisRequest>& batch = sharedBatch();
-  const std::vector<Result<AnalysisReport>>& oracle = sequentialOracle();
-
-  AnalyzerOptions opts;
-  opts.threads = 3;
-  opts.stageGraph = true;
-  opts.stageGraphThreads = 2;
-  const PassivityAnalyzer analyzer(opts);
-  const std::vector<Result<AnalysisReport>> results = analyzer.runBatch(batch);
-  expectParity(results, oracle, "two-level");
-  for (const Result<AnalysisReport>& r : results)
-    if (r.ok()) EXPECT_TRUE(r->scheduler.stageGraph);
 }
 
 // ------------------------------------------------------- report semantics

@@ -161,7 +161,6 @@ TEST(SweepRandom, ScheduledSweepDecisionEqualsSequentialOracle) {
     for (std::size_t workers : {1u, 2u, 7u}) {
       api::AnalyzerOptions options;
       options.threads = workers;
-      options.stageGraph = workers == 7;  // one leg through level 1 too
       const api::PassivityAnalyzer analyzer(options);
       circuits::SweepResult result =
           circuits::runSweep(net, spec, analyzer);

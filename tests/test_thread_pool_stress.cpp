@@ -302,149 +302,5 @@ TEST(ThreadPoolStress, ObserverSwapDuringConcurrentAnalyses) {
   EXPECT_EQ(notifications.load() - before, r->stages.size());
 }
 
-// ----------------------------------------------------------------- TaskGraph
-//
-// Level-1 scheduling primitive (api/thread_pool.hpp TaskGraph). These
-// tests pin the contract the stage-graph runner builds on: diamond
-// dependency ordering, deterministic skip cascades past a throwing node,
-// canonical (lowest-id) first-error selection, destruction with an
-// unfinished graph, and the inline serial oracle mode.
-
-TEST(TaskGraphStress, DiamondDependenciesOrderCorrectly) {
-  for (std::size_t poolSize : {1u, 2u, 4u}) {
-    ThreadPool pool(poolSize);
-    api::TaskGraph graph(&pool);
-    std::atomic<int> aDone{0}, bDone{0}, cDone{0};
-    std::atomic<bool> orderOk{true};
-    const auto a = graph.add("a", [&] { aDone.store(1); });
-    const auto b = graph.add(
-        "b",
-        [&] {
-          if (aDone.load() != 1) orderOk.store(false);
-          bDone.store(1);
-        },
-        {a});
-    const auto c = graph.add(
-        "c",
-        [&] {
-          if (aDone.load() != 1) orderOk.store(false);
-          cDone.store(1);
-        },
-        {a});
-    const auto d = graph.add(
-        "d",
-        [&] {
-          if (bDone.load() != 1 || cDone.load() != 1) orderOk.store(false);
-        },
-        {b, c});
-    graph.run();
-    graph.wait();
-    EXPECT_TRUE(orderOk.load()) << "pool size " << poolSize;
-    EXPECT_TRUE(graph.completed(a));
-    EXPECT_TRUE(graph.completed(b));
-    EXPECT_TRUE(graph.completed(c));
-    EXPECT_TRUE(graph.completed(d));
-    EXPECT_EQ(graph.executedCount(), 4u);
-    EXPECT_EQ(graph.skippedCount(), 0u);
-    EXPECT_GE(graph.criticalPathSeconds(), 0.0);
-  }
-}
-
-TEST(TaskGraphStress, ThrowingMidGraphNodeSkipsDownstreamDeterministically) {
-  // Shape: root -> {thrower, bystander}; thrower -> dep1 -> dep2.
-  // Whatever the timing, the thrower's chain is skipped, the bystander
-  // branch runs, and wait() rethrows the thrower's error.
-  for (std::size_t poolSize : {1u, 2u, 4u}) {
-    ThreadPool pool(poolSize);
-    api::TaskGraph graph(&pool);
-    std::atomic<std::size_t> ran{0};
-    const auto root = graph.add("root", [&] { ran.fetch_add(1); });
-    const auto thrower = graph.add(
-        "thrower",
-        [] { throw std::runtime_error("mid-graph failure"); }, {root});
-    const auto bystander =
-        graph.add("bystander", [&] { ran.fetch_add(1); }, {root});
-    const auto dep1 = graph.add("dep1", [&] { ran.fetch_add(1); }, {thrower});
-    const auto dep2 = graph.add("dep2", [&] { ran.fetch_add(1); }, {dep1});
-    graph.run();
-    EXPECT_THROW(graph.wait(), std::runtime_error);
-    EXPECT_EQ(ran.load(), 2u);  // root + bystander only
-    EXPECT_TRUE(graph.completed(root));
-    EXPECT_TRUE(graph.completed(bystander));
-    EXPECT_FALSE(graph.completed(thrower));
-    EXPECT_TRUE(graph.skipped(dep1));
-    EXPECT_TRUE(graph.skipped(dep2));
-    EXPECT_EQ(graph.executedCount(), 3u);  // root, thrower, bystander
-    EXPECT_EQ(graph.skippedCount(), 2u);
-  }
-}
-
-TEST(TaskGraphStress, FirstErrorIsCanonicalNotTemporal) {
-  // Two independent throwers race; wait() must always surface the
-  // lowest-id one no matter which finishes first. Stagger the earlier
-  // node to finish LAST so a temporal pick would get it wrong.
-  for (int rep = 0; rep < 20; ++rep) {
-    ThreadPool pool(4);
-    api::TaskGraph graph(&pool);
-    graph.add("slow-early", [] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      throw std::runtime_error("early");
-    });
-    graph.add("fast-late", [] { throw std::runtime_error("late"); });
-    graph.run();
-    std::string caught;
-    try {
-      graph.wait();
-    } catch (const std::runtime_error& e) {
-      caught = e.what();
-    }
-    EXPECT_EQ(caught, "early");
-  }
-}
-
-TEST(TaskGraphStress, DestructionWithUnfinishedGraphBlocksUntilTerminal) {
-  std::atomic<std::size_t> ran{0};
-  ThreadPool pool(2);
-  {
-    api::TaskGraph graph(&pool);
-    const auto a = graph.add("a", [&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      ran.fetch_add(1);
-    });
-    graph.add("b", [&] { ran.fetch_add(1); }, {a});
-    graph.add("c", [&] { ran.fetch_add(1); });
-    graph.run();
-    // No wait(): the destructor must block until every node is terminal
-    // (running nodes finish, dependents launch and finish).
-  }
-  EXPECT_EQ(ran.load(), 3u);
-  // Pool must still be usable afterwards.
-  std::atomic<bool> again{false};
-  pool.submit([&] { again.store(true); });
-  pool.wait();
-  EXPECT_TRUE(again.load());
-}
-
-TEST(TaskGraphStress, InlineSerialModeIsTheCanonicalOracle) {
-  // pool == nullptr executes in canonical order on this thread, with the
-  // same skip semantics as the pool mode.
-  api::TaskGraph graph(nullptr);
-  std::vector<std::string> order;
-  const auto a = graph.add("a", [&] { order.push_back("a"); });
-  const auto b = graph.add(
-      "b", [&]() -> void { throw std::runtime_error("b failed"); }, {a});
-  const auto c = graph.add("c", [&] { order.push_back("c"); }, {a});
-  const auto d = graph.add("d", [&] { order.push_back("d"); }, {b});
-  graph.run();
-  EXPECT_THROW(graph.wait(), std::runtime_error);
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], "a");
-  EXPECT_EQ(order[1], "c");
-  EXPECT_TRUE(graph.completed(a));
-  EXPECT_FALSE(graph.completed(b));
-  EXPECT_TRUE(graph.completed(c));
-  EXPECT_TRUE(graph.skipped(d));
-}
-
 }  // namespace
 }  // namespace shhpass
